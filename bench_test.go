@@ -86,40 +86,27 @@ func BenchmarkSourceHotPath(b *testing.B) {
 // at paper parameters (128 buckets, 8 rows, 16 positions) the way the
 // controller actually performs it: through a persistent TableBuilder whose
 // plans and buffers are warm, so the steady state is allocation-free (the
-// paper reports 0.2 ms per update on its testbed).
-func BenchmarkTailTableBuild(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	histC := stats.NewHistogram(4096)
-	histM := stats.NewHistogram(4096)
-	for i := 0; i < 4096; i++ {
-		histC.Push(250e3 * (0.5 + r.Float64()))
-		histM.Push(20e3 * (0.5 + r.Float64()))
-	}
-	tb, err := rubikcore.NewTableBuilder(0.95, 128, 8, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, _, err := tb.Rebuild(histC, histM); err != nil { // warm buffers
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := tb.Rebuild(histC, histM); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// paper reports 0.2 ms per update on its testbed). Columns are built on
+// first read, so each iteration also reads the deepest column: rebuild
+// plus all 16 columns, the work every refresh did before columns became
+// lazy, which keeps the number comparable with bench/baseline.
+func BenchmarkTailTableBuild(b *testing.B) { benchTailTableRefresh(b, true, 15) }
+
+// BenchmarkTailTableRefresh is the typical paper-point table generation:
+// a refresh whose decisions read queue positions 0..4 only.
+func BenchmarkTailTableRefresh(b *testing.B) { benchTailTableRefresh(b, true, 4) }
 
 // BenchmarkTailTableBuildPacked pins the packed real-FFT rebuild pipeline
 // explicitly (it is the builder default, so it matches
 // BenchmarkTailTableBuild today); BenchmarkTailTableBuildRef is the
 // reference complex pipeline — the pair is the packed pipeline's
 // before/after at the paper's table shape.
-func BenchmarkTailTableBuildPacked(b *testing.B) { benchTailTableBuildPipeline(b, true) }
-func BenchmarkTailTableBuildRef(b *testing.B)    { benchTailTableBuildPipeline(b, false) }
+func BenchmarkTailTableBuildPacked(b *testing.B) { benchTailTableRefresh(b, true, 15) }
+func BenchmarkTailTableBuildRef(b *testing.B)    { benchTailTableRefresh(b, false, 15) }
 
-func benchTailTableBuildPipeline(b *testing.B, packed bool) {
+// benchTailTableRefresh times one refresh plus the reads of columns
+// 0..deepest on the chosen pipeline.
+func benchTailTableRefresh(b *testing.B, packed bool, deepest int) {
 	b.Helper()
 	r := rand.New(rand.NewSource(1))
 	histC := stats.NewHistogram(4096)
@@ -133,15 +120,18 @@ func benchTailTableBuildPipeline(b *testing.B, packed bool) {
 		b.Fatal(err)
 	}
 	tb.Packed = packed
-	if _, _, err := tb.Rebuild(histC, histM); err != nil { // warm buffers
-		b.Fatal(err)
+	refresh := func() {
+		tbl, _, err := tb.Rebuild(histC, histM)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbl.Lookup(0, deepest)
 	}
+	refresh() // warm buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tb.Rebuild(histC, histM); err != nil {
-			b.Fatal(err)
-		}
+		refresh()
 	}
 }
 
@@ -159,9 +149,11 @@ func BenchmarkTailTableBuildOneShot(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := rubikcore.BuildTailTable(comp, mem, 0.95, 128, 8, 16); err != nil {
+		tbl, err := rubikcore.BuildTailTable(comp, mem, 0.95, 128, 8, 16)
+		if err != nil {
 			b.Fatal(err)
 		}
+		tbl.Lookup(0, 15)
 	}
 }
 

@@ -192,12 +192,16 @@ func iterMergedCompletions(lists [][]queueing.Completion, yield func(queueing.Co
 // (queueing.Config.DropCompletions) it merges the per-core response
 // histograms instead; the streamed estimate covers the whole run.
 func (r Result) TailNs(q, warmupFrac float64) float64 {
-	var all []float64
+	var n int
 	for _, c := range r.PerCore {
-		all = append(all, c.Responses(warmupFrac)...)
+		n += c.NumResponses(warmupFrac)
 	}
-	if len(all) > 0 {
-		return stats.Percentile(all, q)
+	if n > 0 {
+		all := make([]float64, 0, n)
+		for _, c := range r.PerCore {
+			all = c.AppendResponses(all, warmupFrac)
+		}
+		return stats.SelectPercentile(all, q)
 	}
 	var merged *stats.LogHistogram
 	for _, c := range r.PerCore {

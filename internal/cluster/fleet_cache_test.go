@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	rubikcore "rubik/internal/core"
@@ -133,5 +134,54 @@ func TestFleetWorkStealingSkewed(t *testing.T) {
 		if !reflect.DeepEqual(got.Sockets, want.Sockets) {
 			t.Fatalf("shard=%d skewed fleet diverged from shard=1", shards)
 		}
+	}
+}
+
+// TestFleetTableColumnsShardInvariant pins the lazy-column counter end to
+// end: the fleet-wide sum of Rubik.TableColumns is the same at every
+// shard count and with the rebuild cache on or off (a hit may bring more
+// columns than are read, but the counter only counts reads), and lazy
+// tables read fewer columns than eager ones would have built.
+func TestFleetTableColumnsShardInvariant(t *testing.T) {
+	const sockets, coresPer, nPer = 3, 2, 600
+	run := func(shards, cacheEntries int) (columns, builds int) {
+		cfg := rubikFleetConfig(t, "bursty", "jsq", sockets, coresPer, nPer, shards)
+		cfg.TableCacheEntries = cacheEntries
+		var mu sync.Mutex
+		var ctls []*rubikcore.Rubik
+		newPolicy := cfg.NewPolicy
+		cfg.NewPolicy = func(s, c int) (queueing.Policy, error) {
+			p, err := newPolicy(s, c)
+			if err == nil {
+				mu.Lock()
+				ctls = append(ctls, p.(*rubikcore.Rubik))
+				mu.Unlock()
+			}
+			return p, err
+		}
+		if _, err := RunFleet(cfg); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range ctls {
+			columns += c.TableColumns()
+			builds += c.TableBuilds()
+			if c.RebuildFailures() != 0 {
+				t.Fatalf("controller counted %d rebuild failures", c.RebuildFailures())
+			}
+		}
+		return columns, builds
+	}
+	want, builds := run(1, -1)
+	t.Logf("%d columns read over %d table generations", want, builds)
+	if want == 0 || want >= builds*rubikcore.DefaultConfig(1).MaxTableQueue {
+		t.Fatalf("%d columns read over %d generations: want some, and fewer than eager", want, builds)
+	}
+	for _, shards := range []int{1, 2, sockets} {
+		if got, _ := run(shards, 0); got != want {
+			t.Fatalf("shards=%d cached: %d columns, uncached single shard read %d", shards, got, want)
+		}
+	}
+	if got, _ := run(2, -1); got != want {
+		t.Fatalf("shards=2 uncached: %d columns, want %d", got, want)
 	}
 }

@@ -220,14 +220,20 @@ func (r FleetResult) Completions() []queueing.Completion {
 // (queueing.Config.DropCompletions) — the same two-path estimate as
 // Result.TailNs, fleet-wide.
 func (r FleetResult) TailNs(q, warmupFrac float64) float64 {
-	var all []float64
+	var n int
 	for _, s := range r.Sockets {
 		for _, c := range s.PerCore {
-			all = append(all, c.Responses(warmupFrac)...)
+			n += c.NumResponses(warmupFrac)
 		}
 	}
-	if len(all) > 0 {
-		return stats.Percentile(all, q)
+	if n > 0 {
+		all := make([]float64, 0, n)
+		for _, s := range r.Sockets {
+			for _, c := range s.PerCore {
+				all = c.AppendResponses(all, warmupFrac)
+			}
+		}
+		return stats.SelectPercentile(all, q)
 	}
 	var merged *stats.LogHistogram
 	for _, s := range r.Sockets {

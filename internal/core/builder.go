@@ -74,11 +74,21 @@ type TableBuilder struct {
 	// unified transform size of the chain pair.
 	packedPlans map[int]*stats.PackedConvolutionPlan
 
+	// distC/distM are the profiled distributions the current table
+	// generation was built from: its lazy columns are convolved from
+	// them. A refresh profiles into nextC/nextM and commits by swapping
+	// the pairs, so a refresh that fails or is skipped by the drift gate
+	// leaves the generation's inputs untouched.
+	distC, distM stats.PMF
+	nextC, nextM stats.PMF
+	// plan is the packed plan sized for the committed distributions;
+	// forwardDone records that plan.Forward has run on them.
+	plan        *stats.PackedConvolutionPlan
+	forwardDone bool
+
 	// Reused buffers, sized on first use.
-	distC, distM   stats.PMF
-	convC, convM   []stats.PMF
-	exactC, exactM []float64
-	condC, condM   []float64
+	convC, convM []stats.PMF
+	condC, condM []float64
 	// cumC/cumM hold each profiled distribution's running mass, computed
 	// once per rebuild so every row-bound quantile is answered from the
 	// same pass instead of rescanning the PMF per row.
@@ -89,13 +99,18 @@ type TableBuilder struct {
 	// Drift-gate state: moments of the profiles at the last full rebuild.
 	haveProfile                              bool
 	lastMeanC, lastStdC, lastMeanM, lastStdM float64
-	builds, skips, cacheHits                 int
+	builds, skips, cacheHits, columns        int
 
 	// probe/probeFP are the cache key of the refresh in flight, kept on
 	// the builder (rather than finish's stack) so taking their address
 	// for cache calls does not heap-allocate a key per refresh.
 	probe   tableKey
 	probeFP uint64
+	// entry is the cache entry holding the current generation, valid
+	// while its version still equals entryVersion; the columns the
+	// generation materialized go back into it when it retires.
+	entry        *cacheEntry
+	entryVersion uint64
 }
 
 // NewTableBuilder validates the table dimensions and returns a builder
@@ -119,12 +134,14 @@ func NewTableBuilder(percentile float64, nbuckets, rows, maxQueue int) (*TableBu
 		m:          make([][]float64, rows),
 		discC:      make([]float64, rows),
 		discM:      make([]float64, rows),
+		headC:      make([]float64, rows),
+		headM:      make([]float64, rows),
 	}
 	for r := 0; r < rows; r++ {
 		t.c[r] = make([]float64, maxQueue)
 		t.m[r] = make([]float64, maxQueue)
 	}
-	return &TableBuilder{
+	b := &TableBuilder{
 		Packed:      true,
 		percentile:  percentile,
 		nbuckets:    nbuckets,
@@ -134,14 +151,21 @@ func NewTableBuilder(percentile float64, nbuckets, rows, maxQueue int) (*TableBu
 		packedPlans: map[int]*stats.PackedConvolutionPlan{},
 		convC:       make([]stats.PMF, maxQueue),
 		convM:       make([]stats.PMF, maxQueue),
-		exactC:      make([]float64, maxQueue),
-		exactM:      make([]float64, maxQueue),
 		condC:       make([]float64, nbuckets),
 		condM:       make([]float64, nbuckets),
 		cumC:        make([]float64, nbuckets),
 		cumM:        make([]float64, nbuckets),
-		table:       t,
-	}, nil
+		// Both distribution pairs alternate as profiling targets, so both
+		// start with full-size buckets: no refresh after the first
+		// allocates.
+		distC: stats.PMF{P: make([]float64, 0, nbuckets)},
+		distM: stats.PMF{P: make([]float64, 0, nbuckets)},
+		nextC: stats.PMF{P: make([]float64, 0, nbuckets)},
+		nextM: stats.PMF{P: make([]float64, 0, nbuckets)},
+		table: t,
+	}
+	t.src = b
+	return b, nil
 }
 
 // Table returns the builder's table (valid after the first successful
@@ -159,16 +183,26 @@ func (b *TableBuilder) Skips() int { return b.skips }
 // Builds nor Skips).
 func (b *TableBuilder) CacheHits() int { return b.cacheHits }
 
+// Columns returns how many table columns the builder's generations have
+// been asked for: for each generation, one more than the deepest queue
+// position any Lookup read (positions past MaxQueue read column 0). It
+// depends only on the lookups, not on how many columns were computed or
+// copied from the cache, so it is deterministic across cache settings,
+// pipelines and shard counts.
+func (b *TableBuilder) Columns() int { return b.columns }
+
 // Rebuild refreshes the table from the profilers' current windows. It
-// returns the (builder-owned) table and whether a full rebuild happened:
-// false means the drift gate found both profiles within DriftThreshold of
-// the last rebuild and kept the existing tables. On error the previous
-// table is left intact.
+// returns the (builder-owned) table and whether a new generation was
+// committed: false means the drift gate found both profiles within
+// DriftThreshold of the last rebuild and kept the existing tables. A
+// packed rebuild fills only the per-row parts; the columns are built on
+// first Lookup. On error the previous table generation is left intact,
+// inputs included.
 func (b *TableBuilder) Rebuild(histC, histM *stats.Histogram) (*TailTable, bool, error) {
-	if err := histC.PMFInto(&b.distC, b.nbuckets); err != nil {
+	if err := histC.PMFInto(&b.nextC, b.nbuckets); err != nil {
 		return nil, false, fmt.Errorf("core: compute distribution: %w", err)
 	}
-	if err := histM.PMFInto(&b.distM, b.nbuckets); err != nil {
+	if err := histM.PMFInto(&b.nextM, b.nbuckets); err != nil {
 		return nil, false, fmt.Errorf("core: memory distribution: %w", err)
 	}
 	return b.finish()
@@ -188,18 +222,19 @@ func (b *TableBuilder) RebuildFromSamples(computeSamples, memSamples []float64) 
 	if err != nil {
 		return nil, false, fmt.Errorf("core: memory distribution: %w", err)
 	}
-	b.distC, b.distM = distC, distM
+	b.nextC, b.nextM = distC, distM
 	return b.finish()
 }
 
-// finish runs the drift gate and, when it does not fire, refreshes the
-// table from b.distC/b.distM — through the content-addressed cache when
-// one is attached (a verified hit copies the cached table in place,
-// bitwise-identical to rebuilding), by the full in-place rebuild
-// otherwise.
+// finish runs the drift gate on b.nextC/b.nextM and, when it does not
+// fire, commits them as the new generation — through the
+// content-addressed cache when one is attached (a verified hit copies the
+// cached table in place, bitwise-identical to rebuilding), by the
+// per-row rebuild otherwise. Every step that can fail runs before the
+// commit.
 func (b *TableBuilder) finish() (*TailTable, bool, error) {
-	meanC, varC := b.distC.Mean(), b.distC.Variance()
-	meanM, varM := b.distM.Mean(), b.distM.Variance()
+	meanC, varC := b.nextC.Mean(), b.nextC.Variance()
+	meanM, varM := b.nextM.Mean(), b.nextM.Variance()
 	stdC, stdM := math.Sqrt(varC), math.Sqrt(varM)
 	if b.DriftThreshold > 0 && b.haveProfile &&
 		relDrift(meanC, stdC, b.lastMeanC, b.lastStdC) <= b.DriftThreshold &&
@@ -207,32 +242,122 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 		b.skips++
 		return b.table, false, nil
 	}
+	var plan *stats.PackedConvolutionPlan
+	if b.Packed {
+		var err error
+		plan, err = b.packedPlanFor(stats.PackedPlanSizeFor(len(b.nextC.P), len(b.nextM.P), b.maxQueue))
+		if err != nil {
+			return nil, false, err
+		}
+	}
+	b.retire()
 	if b.Cache != nil {
-		// The probe key aliases the builder's distribution buffers; the
-		// cache copies them only when it stores a new entry.
+		// The probe key aliases the builder's next-distribution buffers,
+		// which become the committed ones below; the cache copies them
+		// only when it stores a new entry.
 		b.probe = tableKey{
 			percentile: b.percentile,
 			nbuckets:   b.nbuckets, rows: b.rows, maxQueue: b.maxQueue,
 			packed: b.Packed,
-			distC:  b.distC, distM: b.distM,
+			distC:  b.nextC, distM: b.nextM,
 		}
 		b.probeFP = b.Cache.fingerprint(&b.probe)
-		if cached := b.Cache.lookup(b.probeFP, &b.probe); cached != nil {
-			b.table.copyFrom(cached)
+		if e := b.Cache.lookup(b.probeFP, &b.probe); e != nil {
+			b.commit(plan)
+			b.table.copyFrom(&e.table)
+			b.entry, b.entryVersion = e, e.version
 			b.noteProfile(meanC, stdC, meanM, stdM)
 			b.cacheHits++
 			return b.table, true, nil
 		}
 	}
-	if err := b.table.Rebuild(b, meanC, varC, meanM, varM); err != nil {
-		return nil, false, err
+	if !b.Packed {
+		// The reference pipeline builds every column eagerly.
+		if err := b.referenceConvolutions(); err != nil {
+			return nil, false, err
+		}
+	}
+	b.commit(plan)
+	b.table.rebuild(b, meanC, varC, meanM, varM)
+	if !b.Packed {
+		for i := 0; i < b.maxQueue; i++ {
+			b.table.setColumn(i, b.convC[i].Quantile(b.percentile), b.convM[i].Quantile(b.percentile))
+		}
+		b.table.built = b.maxQueue
 	}
 	if b.Cache != nil {
-		b.Cache.insert(b.probeFP, &b.probe, b.table)
+		b.entry = b.Cache.insert(b.probeFP, &b.probe, b.table)
+		b.entryVersion = b.entry.version
 	}
 	b.noteProfile(meanC, stdC, meanM, stdM)
 	b.builds++
 	return b.table, true, nil
+}
+
+// referenceConvolutions runs both chains of the reference pipeline on
+// b.nextC/b.nextM into b.convC/b.convM; its results are bitwise-equal to
+// the naive convolutions.
+func (b *TableBuilder) referenceConvolutions() error {
+	planC, err := b.planFor(stats.PlanSizeFor(len(b.nextC.P), len(b.nextC.P), b.maxQueue))
+	if err != nil {
+		return err
+	}
+	if err := planC.IterConvolutionsInto(b.convC, b.nextC, b.nextC); err != nil {
+		return fmt.Errorf("core: compute convolutions: %w", err)
+	}
+	planM, err := b.planFor(stats.PlanSizeFor(len(b.nextM.P), len(b.nextM.P), b.maxQueue))
+	if err != nil {
+		return err
+	}
+	if err := planM.IterConvolutionsInto(b.convM, b.nextM, b.nextM); err != nil {
+		return fmt.Errorf("core: memory convolutions: %w", err)
+	}
+	return nil
+}
+
+// commit makes b.nextC/b.nextM the inputs of a new table generation with
+// no columns built or read yet.
+func (b *TableBuilder) commit(plan *stats.PackedConvolutionPlan) {
+	b.distC, b.nextC = b.nextC, b.distC
+	b.distM, b.nextM = b.nextM, b.distM
+	b.plan = plan
+	b.forwardDone = false
+	b.entry = nil
+	b.table.built, b.table.read = 0, 0
+}
+
+// retire hands the columns the outgoing generation materialized back to
+// the cache entry that holds it, if the entry has not since been evicted
+// and reused, so a later hit on the same inputs starts with them. It
+// leaves the LRU order alone: the cache sees the same inserts, lookups
+// and evictions as it would if every column had been built at rebuild.
+func (b *TableBuilder) retire() {
+	if e := b.entry; e != nil && e.version == b.entryVersion && b.table.built > e.table.built {
+		e.table.copyFrom(b.table)
+	}
+}
+
+// materialize builds the current generation's columns from b.table.built
+// through col, in order: the shared forward transform on first use, then
+// per column one power step, its pruned inverse, its quantiles and its
+// entries in every row. Only packed generations get here; the reference
+// pipeline builds every column at rebuild.
+func (b *TableBuilder) materialize(col int) {
+	t := b.table
+	if !b.forwardDone {
+		if err := b.plan.Forward(b.distC, b.distM, b.maxQueue); err != nil {
+			// Unreachable: the plan was sized from these inputs at commit.
+			panic(fmt.Sprintf("core: lazy table columns: %v", err))
+		}
+		b.forwardDone = true
+	}
+	for i := t.built; i <= col; i++ {
+		if err := b.plan.RowInto(i, &b.convC[i], &b.convM[i]); err != nil {
+			panic(fmt.Sprintf("core: lazy table columns: %v", err))
+		}
+		t.setColumn(i, b.convC[i].Quantile(b.percentile), b.convM[i].Quantile(b.percentile))
+	}
+	t.built = col + 1
 }
 
 // noteProfile records the profile moments a refresh acted on, the state

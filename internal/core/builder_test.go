@@ -9,9 +9,10 @@ import (
 	"rubik/internal/stats"
 )
 
-// referenceTailTable is the pre-builder BuildTailTable algorithm, kept
-// verbatim (naive stats entry points, fresh allocations everywhere) as the
-// oracle the allocation-free pipeline is checked against.
+// referenceTailTable is the pre-builder BuildTailTable algorithm (naive
+// stats entry points, fresh allocations everywhere, every column built
+// eagerly), kept as the oracle the allocation-free pipeline is checked
+// against.
 func referenceTailTable(computeSamples, memSamples []float64, percentile float64, nbuckets, rows, maxQueue int) (*TailTable, error) {
 	distC, err := stats.NewPMFFromSamples(computeSamples, nbuckets)
 	if err != nil {
@@ -21,6 +22,16 @@ func referenceTailTable(computeSamples, memSamples []float64, percentile float64
 	if err != nil {
 		return nil, err
 	}
+	return eagerTailTable(distC, distM, percentile, rows, maxQueue, false)
+}
+
+// eagerTailTable builds a complete table from two profiled distributions
+// the way the pipeline did before columns became lazy: every convolution,
+// quantile and row entry up front. packed selects the packed chain pair
+// (one IterSelfConvolutionsInto pass) over the naive reference chains.
+// The result has every column built and read, so Lookup on it never
+// materializes.
+func eagerTailTable(distC, distM stats.PMF, percentile float64, rows, maxQueue int, packed bool) (*TailTable, error) {
 	t := &TailTable{
 		Percentile: percentile,
 		MaxQueue:   maxQueue,
@@ -28,17 +39,30 @@ func referenceTailTable(computeSamples, memSamples []float64, percentile float64
 		varC:       distC.Variance(),
 		meanM:      distM.Mean(),
 		varM:       distM.Variance(),
+		built:      maxQueue,
+		read:       maxQueue,
+	}
+	cs := make([]stats.PMF, maxQueue)
+	msum := make([]stats.PMF, maxQueue)
+	if packed {
+		plan, err := stats.NewPackedConvolutionPlan(stats.PackedPlanSizeFor(len(distC.P), len(distM.P), maxQueue))
+		if err != nil {
+			return nil, err
+		}
+		if err := plan.IterSelfConvolutionsInto(cs, msum, distC, distM); err != nil {
+			return nil, err
+		}
+	} else {
+		var err error
+		if cs, err = stats.IterConvolutions(distC, distC, maxQueue); err != nil {
+			return nil, err
+		}
+		if msum, err = stats.IterConvolutions(distM, distM, maxQueue); err != nil {
+			return nil, err
+		}
 	}
 	exactC := make([]float64, maxQueue)
 	exactM := make([]float64, maxQueue)
-	cs, err := stats.IterConvolutions(distC, distC, maxQueue)
-	if err != nil {
-		return nil, err
-	}
-	msum, err := stats.IterConvolutions(distM, distM, maxQueue)
-	if err != nil {
-		return nil, err
-	}
 	for i := 0; i < maxQueue; i++ {
 		exactC[i] = cs[i].Quantile(percentile)
 		exactM[i] = msum[i].Quantile(percentile)
@@ -74,12 +98,18 @@ func referenceTailTable(computeSamples, memSamples []float64, percentile float64
 		t.m = append(t.m, mRow)
 		t.discC = append(t.discC, discC)
 		t.discM = append(t.discM, discM)
+		t.headC = append(t.headC, headC)
+		t.headM = append(t.headM, headM)
 	}
 	return t, nil
 }
 
+// tablesBitwiseEqual materializes every column of the builder-owned
+// tables among got and want, then compares them bit for bit.
 func tablesBitwiseEqual(t *testing.T, got, want *TailTable) {
 	t.Helper()
+	materializeAll(got)
+	materializeAll(want)
 	bits := math.Float64bits
 	if got.Percentile != want.Percentile || got.MaxQueue != want.MaxQueue {
 		t.Fatalf("header mismatch: %+v vs %+v", got, want)
@@ -104,6 +134,14 @@ func tablesBitwiseEqual(t *testing.T, got, want *TailTable) {
 					r, i, got.c[r][i], got.m[r][i], want.c[r][i], want.m[r][i])
 			}
 		}
+	}
+}
+
+// materializeAll builds every column of a builder-owned table (a no-op
+// for the hand-assembled oracle tables, which are complete).
+func materializeAll(tt *TailTable) {
+	if tt.src != nil {
+		tt.Lookup(0, tt.MaxQueue-1)
 	}
 }
 

@@ -149,11 +149,14 @@ func (k *tableKey) storeKey(probe *tableKey) {
 }
 
 // cacheEntry is one cached rebuild: the verified key plus a snapshot of
-// the rebuilt table, linked into the LRU list.
+// the rebuilt table with the columns materialized so far, linked into the
+// LRU list. version changes whenever the entry is given a new key, so a
+// builder can tell that the entry it inserted still holds its inputs.
 type cacheEntry struct {
-	fp    uint64
-	key   tableKey
-	table TailTable
+	fp      uint64
+	key     tableKey
+	table   TailTable
+	version uint64
 
 	prev, next *cacheEntry
 }
@@ -181,10 +184,10 @@ func (c *TableCache) Len() int { return len(c.entries) }
 // Cap returns the entry bound.
 func (c *TableCache) Cap() int { return c.capacity }
 
-// lookup probes the cache: it returns the cached table for a key that
-// matches probe bit for bit, or nil on a miss or fingerprint collision.
-// A hit refreshes the entry's LRU position.
-func (c *TableCache) lookup(fp uint64, probe *tableKey) *TailTable {
+// lookup probes the cache: it returns the entry whose key matches probe
+// bit for bit, or nil on a miss or fingerprint collision. A hit refreshes
+// the entry's LRU position.
+func (c *TableCache) lookup(fp uint64, probe *tableKey) *cacheEntry {
 	e, ok := c.entries[fp]
 	if !ok {
 		c.stats.Misses++
@@ -196,20 +199,22 @@ func (c *TableCache) lookup(fp uint64, probe *tableKey) *TailTable {
 	}
 	c.stats.Hits++
 	c.moveToFront(e)
-	return &e.table
+	return e
 }
 
 // insert caches a freshly rebuilt table under the probe key, evicting
-// (and recycling) the least-recently-used entry at capacity. An existing
-// entry at the same fingerprint — a collision whose rebuild just
-// completed — is overwritten in place: the single-slot-per-fingerprint
-// policy keeps colliding keys from evicting unrelated entries.
-func (c *TableCache) insert(fp uint64, probe *tableKey, t *TailTable) {
+// (and recycling) the least-recently-used entry at capacity, and returns
+// the entry. An existing entry at the same fingerprint — a collision
+// whose rebuild just completed — is overwritten in place: the
+// single-slot-per-fingerprint policy keeps colliding keys from evicting
+// unrelated entries.
+func (c *TableCache) insert(fp uint64, probe *tableKey, t *TailTable) *cacheEntry {
 	if e, ok := c.entries[fp]; ok {
 		e.key.storeKey(probe)
 		e.table.copyFrom(t)
+		e.version++
 		c.moveToFront(e)
-		return
+		return e
 	}
 	var e *cacheEntry
 	if len(c.entries) >= c.capacity {
@@ -223,8 +228,10 @@ func (c *TableCache) insert(fp uint64, probe *tableKey, t *TailTable) {
 	e.fp = fp
 	e.key.storeKey(probe)
 	e.table.copyFrom(t)
+	e.version++
 	c.entries[fp] = e
 	c.pushFront(e)
+	return e
 }
 
 func (c *TableCache) pushFront(e *cacheEntry) {
@@ -261,11 +268,12 @@ func (c *TableCache) moveToFront(e *cacheEntry) {
 	c.pushFront(e)
 }
 
-// copyFrom makes t a deep copy of src, reusing t's backing slices when
-// their capacities allow. On the hit path the builder's table already has
-// the key's exact dimensions, so the copy allocates nothing; recycled
-// cache entries resize when a differently-shaped builder shares the
-// cache.
+// copyFrom makes t a deep copy of src's contents — including its
+// materialized columns and their count, but not its owner or read count —
+// reusing t's backing slices when their capacities allow. On the hit path
+// the builder's table already has the key's exact dimensions, so the copy
+// allocates nothing; recycled cache entries resize when a
+// differently-shaped builder shares the cache.
 func (t *TailTable) copyFrom(src *TailTable) {
 	t.Percentile = src.Percentile
 	t.MaxQueue = src.MaxQueue
@@ -275,6 +283,9 @@ func (t *TailTable) copyFrom(src *TailTable) {
 	t.rowBoundsM = resizeCopy(t.rowBoundsM, src.rowBoundsM)
 	t.discC = resizeCopy(t.discC, src.discC)
 	t.discM = resizeCopy(t.discM, src.discM)
+	t.headC = resizeCopy(t.headC, src.headC)
+	t.headM = resizeCopy(t.headM, src.headM)
+	t.built = src.built
 	t.c = resizeCopyRows(t.c, src.c)
 	t.m = resizeCopyRows(t.m, src.m)
 }

@@ -350,15 +350,20 @@ func benchRefresh(b *testing.B, cached bool) {
 		histC.Push(comp[i])
 		histM.Push(mem[i])
 	}
-	if _, _, err := tb.Rebuild(histC, histM); err != nil {
-		b.Fatal(err)
+	// Each refresh reads every column, so a miss pays the full
+	// convolution chain and a hit copies a complete table.
+	refresh := func() {
+		tbl, _, err := tb.Rebuild(histC, histM)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbl.Lookup(0, 15)
 	}
+	refresh()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := tb.Rebuild(histC, histM); err != nil {
-			b.Fatal(err)
-		}
+		refresh()
 	}
 	b.StopTimer()
 	if cached && tb.CacheHits() == 0 {

@@ -152,9 +152,10 @@ type Rubik struct {
 	internalNs float64
 
 	// Stats exposed for diagnostics.
-	tableBuilds int
-	tableSkips  int
-	decisions   int
+	tableBuilds     int
+	tableSkips      int
+	rebuildFailures int
+	decisions       int
 }
 
 var (
@@ -259,9 +260,11 @@ func (r *Rubik) TickEvery() sim.Time { return r.cfg.UpdatePeriod }
 // frequency for the current queue state.
 func (r *Rubik) OnTick(v queueing.View) int {
 	if r.histC.Len() >= r.cfg.MinSamples {
-		// Rebuild errors can only stem from degenerate sample sets; keep
-		// the previous table in that case.
-		_ = r.rebuild()
+		// A failed rebuild keeps the previous table generation intact;
+		// count it so a controller running on a stale table shows.
+		if err := r.rebuild(); err != nil {
+			r.rebuildFailures++
+		}
 	}
 	r.updateFeedback(v.Now)
 	return r.OnEvent(v)
@@ -459,6 +462,8 @@ func (r *Rubik) PredictedSlackNs(v queueing.View) float64 {
 }
 
 // Table returns the current target tail table (nil before first build).
+// Its lookups build columns on first use, so like the controller it
+// belongs to one goroutine.
 func (r *Rubik) Table() *TailTable { return r.table }
 
 // InternalTargetNs returns the feedback-adjusted latency target.
@@ -470,6 +475,21 @@ func (r *Rubik) TableBuilds() int { return r.tableBuilds }
 // TableSkips returns how many periodic refreshes the drift gate
 // short-circuited (always 0 with Config.DriftThreshold == 0).
 func (r *Rubik) TableSkips() int { return r.tableSkips }
+
+// RebuildFailures returns how many periodic refreshes failed and kept the
+// previous table.
+func (r *Rubik) RebuildFailures() int { return r.rebuildFailures }
+
+// TableColumns returns how many tail-table columns the controller's
+// decisions have read, summed over table generations (see
+// TableBuilder.Columns). It is deterministic, and independent of the
+// rebuild cache, the FFT pipeline and the shard count.
+func (r *Rubik) TableColumns() int {
+	if r.builder == nil {
+		return 0
+	}
+	return r.builder.Columns()
+}
 
 // SetTableCache shares a content-addressed rebuild cache with the
 // controller: periodic refreshes whose profile inputs match a cached

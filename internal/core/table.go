@@ -29,6 +29,16 @@ import (
 // request (omega), quantized to octiles as in the paper's implementation;
 // columns are queue positions 0..MaxQueue-1. Positions beyond the table use
 // the Gaussian (CLT) extension.
+//
+// Columns are materialized on demand. A rebuild fills only the per-row
+// parts (bounds, discounts, head tails); the first Lookup of a column
+// builds every missing column up to it, in order, from the inputs its
+// builder committed for this table generation. Most generations read
+// only the first few queue positions (a 100 ms table at 50% load rarely
+// sees a queue of 8), so most of the convolution work is never done. The
+// entries are bitwise those an eager build produces, because the same
+// operations run in the same order. Because Lookup writes, a table is
+// confined to its controller's goroutine, like the builder that owns it.
 type TailTable struct {
 	// Percentile is the tail percentile the table targets (e.g. 0.95).
 	Percentile float64
@@ -42,7 +52,7 @@ type TailTable struct {
 
 	// c[r][i] is the tail cycles-until-completion of the request at queue
 	// position i when the head's elapsed work falls in row r; m[r][i] is
-	// the tail memory time (ns).
+	// the tail memory time (ns). Only columns below built hold values.
 	//
 	// Row 0 (omega = 0) holds the exact convolved tails Q(C^(*(i+1))).
 	// Rows r > 0 discount row 0 by the *mean* work the head has already
@@ -61,6 +71,16 @@ type TailTable struct {
 	meanM, varM float64
 	// Per-row mean discounts, for extending rows past MaxQueue.
 	discC, discM []float64
+	// Per-row conditioned head tails, the floor of every entry in a row.
+	headC, headM []float64
+
+	// built counts the leading columns materialized; read counts the
+	// leading columns this generation has been asked for (read <= built,
+	// since a cache hit may bring more columns than are read).
+	built, read int
+	// src is the builder whose committed inputs the missing columns are
+	// built from. Cache snapshots have none and are never looked up.
+	src *TableBuilder
 }
 
 // BuildTailTable constructs the tables from per-request compute-cycle and
@@ -85,51 +105,16 @@ func BuildTailTable(computeSamples, memSamples []float64, percentile float64, nb
 	return t, err
 }
 
-// Rebuild refills t in place from the profiled compute and memory
-// distributions held in b (b.distC, b.distM), using b's cached convolution
-// plans and scratch buffers. The caller passes the distributions' moments
-// so they are computed once per refresh. All convolutions run before t is
-// touched, so a failed rebuild leaves the previous contents intact.
-func (t *TailTable) Rebuild(b *TableBuilder, meanC, varC, meanM, varM float64) error {
+// rebuild refills the per-row parts of t from the distributions b has
+// just committed (b.distC, b.distM) and leaves every column unbuilt. The
+// caller passes the distributions' moments so they are computed once per
+// refresh.
+func (t *TailTable) rebuild(b *TableBuilder, meanC, varC, meanM, varM float64) {
 	distC, distM := b.distC, b.distM
-	maxQueue, rows, percentile := b.maxQueue, b.rows, b.percentile
-
-	// Exact sum tails for a fresh head: exactC[i] = Q(C^(*(i+1))). The
-	// packed pipeline computes both chains in one real-FFT pass (one
-	// forward transform, fused per-row inverses, half-spectrum power
-	// steps); the reference pipeline runs the two chains independently
-	// and stays bitwise-equal to the naive convolutions.
-	if b.Packed {
-		plan, err := b.packedPlanFor(stats.PackedPlanSizeFor(len(distC.P), len(distM.P), maxQueue))
-		if err != nil {
-			return err
-		}
-		if err := plan.IterSelfConvolutionsInto(b.convC, b.convM, distC, distM); err != nil {
-			return fmt.Errorf("core: packed convolutions: %w", err)
-		}
-	} else {
-		planC, err := b.planFor(stats.PlanSizeFor(len(distC.P), len(distC.P), maxQueue))
-		if err != nil {
-			return err
-		}
-		if err := planC.IterConvolutionsInto(b.convC, distC, distC); err != nil {
-			return fmt.Errorf("core: compute convolutions: %w", err)
-		}
-		planM, err := b.planFor(stats.PlanSizeFor(len(distM.P), len(distM.P), maxQueue))
-		if err != nil {
-			return err
-		}
-		if err := planM.IterConvolutionsInto(b.convM, distM, distM); err != nil {
-			return fmt.Errorf("core: memory convolutions: %w", err)
-		}
-	}
-	for i := 0; i < maxQueue; i++ {
-		b.exactC[i] = b.convC[i].Quantile(percentile)
-		b.exactM[i] = b.convM[i].Quantile(percentile)
-	}
+	percentile := b.percentile
 
 	t.Percentile = percentile
-	t.MaxQueue = maxQueue
+	t.MaxQueue = b.maxQueue
 	t.meanC, t.varC = meanC, varC
 	t.meanM, t.varM = meanM, varM
 
@@ -139,8 +124,8 @@ func (t *TailTable) Rebuild(b *TableBuilder, meanC, varC, meanM, varM float64) e
 	b.cumC = distC.CumSumInto(b.cumC)
 	b.cumM = distM.CumSumInto(b.cumM)
 
-	for r := 0; r < rows; r++ {
-		q := float64(r) / float64(rows)
+	for r := 0; r < b.rows; r++ {
+		q := float64(r) / float64(b.rows)
 		var boundC, boundM float64
 		if r > 0 {
 			boundC = distC.QuantileFromCum(b.cumC, q)
@@ -159,18 +144,20 @@ func (t *TailTable) Rebuild(b *TableBuilder, meanC, varC, meanM, varM float64) e
 		if discM < 0 {
 			discM = 0
 		}
-		headC := condC.Quantile(percentile)
-		headM := condM.Quantile(percentile)
-		cRow := t.c[r]
-		mRow := t.m[r]
-		for i := 0; i < maxQueue; i++ {
-			cRow[i] = maxf(b.exactC[i]-discC, headC)
-			mRow[i] = maxf(b.exactM[i]-discM, headM)
-		}
 		t.discC[r] = discC
 		t.discM[r] = discM
+		t.headC[r] = condC.Quantile(percentile)
+		t.headM[r] = condM.Quantile(percentile)
 	}
-	return nil
+}
+
+// setColumn fills column i of every row from the exact sum tails of queue
+// position i.
+func (t *TailTable) setColumn(i int, exactC, exactM float64) {
+	for r := range t.c {
+		t.c[r][i] = maxf(exactC-t.discC[r], t.headC[r])
+		t.m[r][i] = maxf(exactM-t.discM[r], t.headM[r])
+	}
 }
 
 func maxf(a, b float64) float64 {
@@ -200,13 +187,23 @@ func (t *TailTable) RowFor(elapsedCycles float64) int {
 
 // Lookup returns the tail cycles c_i and tail memory time m_i (ns) for the
 // request at queue position i given the head's row. Positions at or beyond
-// MaxQueue use the Gaussian extension (paper Sec. 4.2, "Large queues").
+// MaxQueue use the Gaussian extension (paper Sec. 4.2, "Large queues"),
+// which needs only column 0 and the moments. A column read for the first
+// time in this table generation is materialized first, with every
+// missing column before it.
 func (t *TailTable) Lookup(row, i int) (ci, mi float64) {
 	if row < 0 {
 		row = 0
 	}
 	if row >= len(t.c) {
 		row = len(t.c) - 1
+	}
+	col := i
+	if i >= t.MaxQueue {
+		col = 0
+	}
+	if col >= t.read {
+		t.demand(col)
 	}
 	if i < t.MaxQueue {
 		return t.c[row][i], t.m[row][i]
@@ -224,6 +221,17 @@ func (t *TailTable) Lookup(row, i int) (ci, mi float64) {
 		mi = t.m[row][0]
 	}
 	return ci, mi
+}
+
+// demand records the first read of column col in this generation,
+// counting it for TableBuilder.Columns, and builds the columns still
+// missing up to it.
+func (t *TailTable) demand(col int) {
+	t.src.columns += col + 1 - t.read
+	t.read = col + 1
+	if col >= t.built {
+		t.src.materialize(col)
+	}
 }
 
 // Rows returns the number of omega rows.

@@ -10,12 +10,20 @@ import (
 // have built their first model, matching the paper's steady-state
 // measurement.
 func (r Result) Responses(warmupFrac float64) []float64 {
-	cs := r.warm(warmupFrac)
-	out := make([]float64, len(cs))
-	for i, c := range cs {
-		out[i] = c.ResponseNs
+	return r.AppendResponses(make([]float64, 0, r.NumResponses(warmupFrac)), warmupFrac)
+}
+
+// NumResponses returns how many completions remain after the warmup
+// prefix: the length Responses would return.
+func (r Result) NumResponses(warmupFrac float64) int { return len(r.warm(warmupFrac)) }
+
+// AppendResponses appends the post-warmup response latencies (ns) to dst,
+// so callers pooling several results can size one slice up front.
+func (r Result) AppendResponses(dst []float64, warmupFrac float64) []float64 {
+	for _, c := range r.warm(warmupFrac) {
+		dst = append(dst, c.ResponseNs)
 	}
-	return out
+	return dst
 }
 
 // warm returns the completions after the warmup prefix.
@@ -38,7 +46,7 @@ func (r Result) TailNs(q, warmupFrac float64) float64 {
 	if len(r.Completions) == 0 && r.ResponseHist != nil {
 		return r.ResponseHist.Quantile(q)
 	}
-	return stats.Percentile(r.Responses(warmupFrac), q)
+	return stats.SelectPercentile(r.Responses(warmupFrac), q)
 }
 
 // ViolationFrac returns the fraction of post-warmup responses above

@@ -68,6 +68,14 @@ type PackedConvolutionPlan struct {
 	// z is the full-size complex scratch: the packed signal during the
 	// forward transform, then each row's fused inverse input/output.
 	z []complex128
+
+	// Chain state set by Forward: the row count, the next row RowInto
+	// may emit (the accumulators hold that row's spectrum), and the
+	// input geometry the rows' supports and origins derive from.
+	count, row      int
+	nc, nm          int
+	originC, widthC float64
+	originM, widthM float64
 }
 
 // NewPackedConvolutionPlan builds a packed plan for transforms of size n
@@ -154,16 +162,35 @@ func PackedPlanSizeFor(cLen, mLen, count int) int {
 // zero allocations. The plan must have been built for exactly
 // PackedPlanSizeFor(len(c.P), len(m.P), len(dstC)).
 //
-// Results match the reference chains within the packed pipeline's
-// relative error bound; they are not bitwise-equal (see the type
-// comment).
+// It is Forward followed by RowInto for every row, so its results are
+// bitwise those of the two steps driven row by row. They match the
+// reference chains within the packed pipeline's relative error bound;
+// they are not bitwise-equal to them (see the type comment).
 func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m PMF) error {
-	count := len(dstC)
+	if len(dstM) != len(dstC) {
+		return fmt.Errorf("stats: IterSelfConvolutions dst lengths differ: %d vs %d", len(dstC), len(dstM))
+	}
+	if err := p.Forward(c, m, len(dstC)); err != nil {
+		return err
+	}
+	for i := range dstC {
+		if err := p.RowInto(i, &dstC[i], &dstM[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Forward is the shared step of a chain pair: it packs the two real
+// inputs into one complex signal, takes the single full-size forward
+// transform and splits it into the two Hermitian half-spectra, leaving
+// the chains positioned at row 0 of count. The plan keeps the inputs'
+// geometry (not their buckets), so c and m may be reused once Forward
+// returns. The plan must have been built for exactly
+// PackedPlanSizeFor(len(c.P), len(m.P), count).
+func (p *PackedConvolutionPlan) Forward(c, m PMF, count int) error {
 	if count <= 0 {
 		return fmt.Errorf("stats: IterSelfConvolutions count must be positive")
-	}
-	if len(dstM) != count {
-		return fmt.Errorf("stats: IterSelfConvolutions dst lengths differ: %d vs %d", count, len(dstM))
 	}
 	if len(c.P) == 0 || len(m.P) == 0 {
 		return fmt.Errorf("stats: IterSelfConvolutions empty PMF")
@@ -172,7 +199,10 @@ func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m 
 		return fmt.Errorf("stats: packed plan size %d, chain pair needs %d", p.n, want)
 	}
 	n := p.n
-	nc, nm := len(c.P), len(m.P)
+	p.count, p.row = count, 0
+	p.nc, p.nm = len(c.P), len(m.P)
+	p.originC, p.widthC = c.Origin, c.Width
+	p.originM, p.widthM = m.Origin, m.Width
 
 	// Pack both real inputs into one complex signal z = c + i*m and take
 	// a single full-size forward transform.
@@ -217,79 +247,92 @@ func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m 
 	// the spectra themselves.
 	copy(p.accC, p.specC)
 	copy(p.accM, p.specM)
+	return nil
+}
 
-	for i := 0; i < count; i++ {
-		lc := nc + i*(nc-1)
-		lm := nm + i*(nm-1)
-		// Pruned inverse: row i has exact support max(lc, lm), so a
-		// transform of the smallest covering power of two ni suffices —
-		// decimating the spectrum by d = n/ni aliases the row mod ni,
-		// which is exact for a signal of support <= ni.
-		l := lc
-		if lm > l {
-			l = lm
+// RowInto writes row i of both chains — the distributions of c + i-fold
+// sum of c and of m + i-fold sum of m — into dstC and dstM, reusing their
+// backing arrays when capacity allows. Rows come in increasing order
+// after Forward: each call first advances the accumulators by the
+// half-spectrum power steps up to row i, then runs row i's pruned
+// inverse. Rows skipped over get their power steps but no inverse, so
+// row i carries the same bits whichever earlier rows were inverted.
+func (p *PackedConvolutionPlan) RowInto(i int, dstC, dstM *PMF) error {
+	if i < p.row || i >= p.count {
+		return fmt.Errorf("stats: packed row %d out of order (next %d of %d)", i, p.row, p.count)
+	}
+	h := p.n / 2
+	for ; p.row < i; p.row++ {
+		// Half-spectrum power step: both accumulators advance one
+		// convolution over the n/2+1 non-redundant bins only.
+		for k := 0; k <= h; k++ {
+			p.accC[k] *= p.specC[k]
+			p.accM[k] *= p.specM[k]
 		}
-		ni := nextPow2(l)
-		d := n / ni
-		hi := ni / 2
-		w := z[:ni]
-		// Assemble the fused natural-order spectrum w = accC + i*accM
-		// from the decimated half-spectra; the upper half comes from
-		// Hermitian symmetry, w[ni-k] = conj(accC[k*d] - i*accM[k*d]).
-		for k := 0; k <= hi; k++ {
-			ac, am := p.accC[k*d], p.accM[k*d]
-			w[k] = complex(real(ac)-imag(am), imag(ac)+real(am))
+	}
+	nc, nm := p.nc, p.nm
+	lc := nc + i*(nc-1)
+	lm := nm + i*(nm-1)
+	// Pruned inverse: row i has exact support max(lc, lm), so a
+	// transform of the smallest covering power of two ni suffices —
+	// decimating the spectrum by d = n/ni aliases the row mod ni,
+	// which is exact for a signal of support <= ni.
+	l := lc
+	if lm > l {
+		l = lm
+	}
+	ni := nextPow2(l)
+	d := p.n / ni
+	hi := ni / 2
+	w := p.z[:ni]
+	// Assemble the fused natural-order spectrum w = accC + i*accM
+	// from the decimated half-spectra; the upper half comes from
+	// Hermitian symmetry, w[ni-k] = conj(accC[k*d] - i*accM[k*d]).
+	for k := 0; k <= hi; k++ {
+		ac, am := p.accC[k*d], p.accM[k*d]
+		w[k] = complex(real(ac)-imag(am), imag(ac)+real(am))
+	}
+	for k := 1; k < hi; k++ {
+		ac, am := p.accC[k*d], p.accM[k*d]
+		w[ni-k] = complex(real(ac)+imag(am), real(am)-imag(ac))
+	}
+	rev := p.revFor(ni)
+	for a2, b2 := range rev {
+		if b2 > a2 {
+			w[a2], w[b2] = w[b2], w[a2]
 		}
-		for k := 1; k < hi; k++ {
-			ac, am := p.accC[k*d], p.accM[k*d]
-			w[ni-k] = complex(real(ac)+imag(am), real(am)-imag(ac))
+	}
+	fftStages(w, p.inv)
+	// One fused inverse: the C row is the real part, the M row the
+	// imaginary part. The 1/ni scaling folds into the extraction.
+	invN := 1 / float64(ni)
+	bufC := fitFloats(dstC.P, lc)
+	for k := 0; k < lc; k++ {
+		v := real(w[k]) * invN
+		if v < 0 { // numeric noise
+			v = 0
 		}
-		rev := p.revFor(ni)
-		for a2, b2 := range rev {
-			if b2 > a2 {
-				w[a2], w[b2] = w[b2], w[a2]
-			}
+		bufC[k] = v
+	}
+	bufM := fitFloats(dstM.P, lm)
+	for k := 0; k < lm; k++ {
+		v := imag(w[k]) * invN
+		if v < 0 { // numeric noise
+			v = 0
 		}
-		fftStages(w, p.inv)
-		// One fused inverse: the C row is the real part, the M row the
-		// imaginary part. The 1/ni scaling folds into the extraction.
-		invN := 1 / float64(ni)
-		bufC := fitFloats(dstC[i].P, lc)
-		for k := 0; k < lc; k++ {
-			v := real(w[k]) * invN
-			if v < 0 { // numeric noise
-				v = 0
-			}
-			bufC[k] = v
-		}
-		bufM := fitFloats(dstM[i].P, lm)
-		for k := 0; k < lm; k++ {
-			v := imag(w[k]) * invN
-			if v < 0 { // numeric noise
-				v = 0
-			}
-			bufM[k] = v
-		}
-		dstC[i] = PMF{
-			// Each convolution adds the origin plus the half-width
-			// midpoint correction (see Convolve).
-			Origin: c.Origin + float64(i)*(c.Origin+c.Width/2),
-			Width:  c.Width,
-			P:      bufC,
-		}
-		dstM[i] = PMF{
-			Origin: m.Origin + float64(i)*(m.Origin+m.Width/2),
-			Width:  m.Width,
-			P:      bufM,
-		}
-		if i < count-1 {
-			// Half-spectrum power step: both accumulators advance one
-			// convolution over the n/2+1 non-redundant bins only.
-			for k := 0; k <= h; k++ {
-				p.accC[k] *= p.specC[k]
-				p.accM[k] *= p.specM[k]
-			}
-		}
+		bufM[k] = v
+	}
+	*dstC = PMF{
+		// Each convolution adds the origin plus the half-width
+		// midpoint correction (see Convolve).
+		Origin: p.originC + float64(i)*(p.originC+p.widthC/2),
+		Width:  p.widthC,
+		P:      bufC,
+	}
+	*dstM = PMF{
+		Origin: p.originM + float64(i)*(p.originM+p.widthM/2),
+		Width:  p.widthM,
+		P:      bufM,
 	}
 	return nil
 }

@@ -234,3 +234,84 @@ func TestPackedSelfConvolutionsAllocationFree(t *testing.T) {
 		t.Fatalf("warm IterSelfConvolutionsInto allocates %v/op, want 0", allocs)
 	}
 }
+
+// TestPackedRowIntoSkipsMatchFullChain pins the split plan's contract:
+// after Forward, any increasing subset of rows fetched with RowInto
+// carries the bits the full IterSelfConvolutionsInto pass produces for
+// those rows — skipped rows still take their power steps, so a lazily
+// built row equals the eagerly built one.
+func TestPackedRowIntoSkipsMatchFullChain(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 40; trial++ {
+		c := randomPMF(r, 1+r.Intn(130), 1+5*r.Float64(), 250)
+		m := randomPMF(r, 1+r.Intn(130), 0.5+r.Float64(), 40)
+		count := 1 + r.Intn(16)
+		plan, err := NewPackedConvolutionPlan(PackedPlanSizeFor(len(c.P), len(m.P), count))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantC := make([]PMF, count)
+		wantM := make([]PMF, count)
+		if err := plan.IterSelfConvolutionsInto(wantC, wantM, c, m); err != nil {
+			t.Fatal(err)
+		}
+		// The same plan, reused: Forward resets the chain.
+		if err := plan.Forward(c, m, count); err != nil {
+			t.Fatal(err)
+		}
+		var gotC, gotM PMF
+		for i := r.Intn(count); i < count; i += 1 + r.Intn(4) {
+			if err := plan.RowInto(i, &gotC, &gotM); err != nil {
+				t.Fatal(err)
+			}
+			for _, pair := range []struct {
+				name      string
+				got, want PMF
+			}{{"C", gotC, wantC[i]}, {"M", gotM, wantM[i]}} {
+				if !sameBits(pair.got.Origin, pair.want.Origin) || !sameBits(pair.got.Width, pair.want.Width) ||
+					len(pair.got.P) != len(pair.want.P) {
+					t.Fatalf("trial %d %s row %d geometry differs", trial, pair.name, i)
+				}
+				for k := range pair.want.P {
+					if !sameBits(pair.got.P[k], pair.want.P[k]) {
+						t.Fatalf("trial %d %s row %d entry %d: %v vs %v", trial, pair.name, i, k, pair.got.P[k], pair.want.P[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPackedRowIntoRejectsOutOfOrder checks the row chain's guards: a row
+// before the chain's position, a row past count, and RowInto before any
+// Forward are errors, not silent garbage.
+func TestPackedRowIntoRejectsOutOfOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	c := randomPMF(r, 32, 1, 10)
+	plan, err := NewPackedConvolutionPlan(PackedPlanSizeFor(32, 32, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dc, dm PMF
+	if err := plan.RowInto(0, &dc, &dm); err == nil {
+		t.Fatal("RowInto before Forward must fail")
+	}
+	if err := plan.Forward(c, c, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.RowInto(2, &dc, &dm); err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.RowInto(1, &dc, &dm); err == nil {
+		t.Fatal("a row behind the chain must be rejected")
+	}
+	if err := plan.RowInto(4, &dc, &dm); err == nil {
+		t.Fatal("a row past count must be rejected")
+	}
+	if err := plan.Forward(c, c, 0); err == nil {
+		t.Fatal("Forward with count 0 must fail")
+	}
+	if err := plan.Forward(c, c, 8); err == nil {
+		t.Fatal("Forward on a plan sized for another chain must fail")
+	}
+}

@@ -374,18 +374,36 @@ func percentileSorted(s []float64, q float64) float64 {
 	if len(s) == 0 {
 		return 0
 	}
+	return s[nearestRank(q, len(s))]
+}
+
+// SelectPercentile returns the same nearest-rank q-quantile as
+// Percentile, picked in place by quickselect instead of a copy and a full
+// sort: O(n) on a slice the caller owns and no longer needs in order (s
+// is partially reordered).
+func SelectPercentile(s []float64, q float64) float64 {
+	if len(s) == 0 {
+		return 0
+	}
+	return selectKth(s, nearestRank(q, len(s)))
+}
+
+// nearestRank returns the 0-based index of the nearest-rank q-quantile in
+// a sorted slice of n > 0 values: q <= 0 picks the minimum, q >= 1 the
+// maximum.
+func nearestRank(q float64, n int) int {
 	if q <= 0 {
-		return s[0]
+		return 0
 	}
 	if q > 1 {
 		q = 1
 	}
-	rank := int(math.Ceil(q*float64(len(s)))) - 1
+	rank := int(math.Ceil(q*float64(n))) - 1
 	if rank < 0 {
 		rank = 0
 	}
-	if rank >= len(s) {
-		rank = len(s) - 1
+	if rank >= n {
+		rank = n - 1
 	}
-	return s[rank]
+	return rank
 }

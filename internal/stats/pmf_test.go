@@ -343,3 +343,51 @@ func TestQuantileFromCumEmpty(t *testing.T) {
 		t.Fatalf("empty PMF cum length %d", len(cum))
 	}
 }
+
+// TestSelectPercentileMatchesPercentile is the report helper's property:
+// the in-place quickselect returns the same nearest-rank value as the
+// copy-and-sort Percentile, on random input, heavy duplicates, mixed
+// signed zeros, a single element and every q edge (q <= 0, q = 1, q > 1).
+func TestSelectPercentileMatchesPercentile(t *testing.T) {
+	qs := []float64{-1, 0, 1e-9, 0.01, 0.5, 0.95, 0.99, 0.999, 1, 1.5}
+	r := rand.New(rand.NewSource(17))
+	check := func(name string, xs []float64) {
+		t.Helper()
+		for _, q := range qs {
+			want := Percentile(xs, q)
+			got := SelectPercentile(append([]float64(nil), xs...), q)
+			if got != want {
+				t.Fatalf("%s q=%v: SelectPercentile %v, Percentile %v", name, q, got, want)
+			}
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + r.Intn(300)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.NormFloat64() * 1e5
+		}
+		check("random", xs)
+		dup := make([]float64, n)
+		for i := range dup {
+			dup[i] = float64(r.Intn(4))
+		}
+		check("duplicates", dup)
+		zeros := make([]float64, n)
+		for i := range zeros {
+			switch r.Intn(3) {
+			case 0:
+				zeros[i] = math.Copysign(0, -1)
+			case 1:
+				zeros[i] = 0
+			default:
+				zeros[i] = r.Float64() - 0.5
+			}
+		}
+		check("signed zeros", zeros)
+	}
+	check("single", []float64{42})
+	if got := SelectPercentile(nil, 0.5); got != 0 {
+		t.Fatalf("empty: %v, want 0", got)
+	}
+}

@@ -1,7 +1,5 @@
 package stats
 
-import "math"
-
 // TimedSample is one (timestamp, value) observation in a rolling window.
 // Timestamps are int64 nanoseconds, matching the simulator clock.
 type TimedSample struct {
@@ -82,20 +80,7 @@ func (w *RollingWindow) Percentile(q float64) float64 {
 	for _, smp := range w.buf[w.head:] {
 		s = append(s, smp.V)
 	}
-	if q > 1 {
-		q = 1
-	}
-	rank := 0
-	if q > 0 {
-		rank = int(math.Ceil(q*float64(n))) - 1
-		if rank < 0 {
-			rank = 0
-		}
-		if rank >= n {
-			rank = n - 1
-		}
-	}
-	return selectKth(s, rank)
+	return SelectPercentile(s, q)
 }
 
 // selectKth returns the k-th smallest element of s (0-based), partially
