@@ -9,6 +9,7 @@ package rubik_test
 //	go test -bench=. -benchmem
 import (
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -157,9 +158,9 @@ func BenchmarkTailTableBuildOneShot(b *testing.B) {
 	}
 }
 
-// BenchmarkHistogramPush measures one profiling ingest on a full window —
-// O(1) amortized, versus the O(window) copy the sample slices paid per
-// completion once HistoryCap was reached.
+// BenchmarkHistogramPush measures one profiling ingest on a full window:
+// a store at a wrapping index and a count, constant-time and division-free
+// (the window extrema are found at rebuild, not maintained per push).
 func BenchmarkHistogramPush(b *testing.B) {
 	r := rand.New(rand.NewSource(14))
 	h := stats.NewHistogram(8192)
@@ -174,6 +175,82 @@ func BenchmarkHistogramPush(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Push(vals[i&1023])
+	}
+}
+
+// benchCompletionGap spaces completions about 3,000 per simulated second,
+// a core's rate at the paper's operating point, so the 1 s feedback
+// window holds about 3,000 responses.
+const benchCompletionGap = sim.Second / 3000
+
+// benchCompletions returns 1,024 paper-point completions (C, M and a
+// lognormal response latency around 300 us) for the benches to cycle.
+func benchCompletions() []queueing.Completion {
+	r := rand.New(rand.NewSource(15))
+	cs := make([]queueing.Completion, 1024)
+	for i := range cs {
+		cs[i] = queueing.Completion{
+			ComputeCycles: 250e3 * (0.5 + r.Float64()),
+			MemTime:       sim.Time(20e3 * (0.5 + r.Float64())),
+			ResponseNs:    300e3 * math.Exp(0.4*r.NormFloat64()),
+		}
+	}
+	return cs
+}
+
+// BenchmarkObserveCompletion measures the controller's per-completion
+// measurement: validate the (C, M) pair, push both into full 8192-sample
+// profiles, and add the response to a warm 1 s feedback window.
+func BenchmarkObserveCompletion(b *testing.B) {
+	ctl, err := rubik.NewController(500_000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := benchCompletions()
+	var now sim.Time
+	observe := func(i int) {
+		c := cs[i&1023]
+		now += benchCompletionGap
+		c.Done = now
+		ctl.ObserveCompletion(c)
+	}
+	for i := 0; i < 16384; i++ {
+		observe(i)
+	}
+	if ctl.SampleCount() != 8192 {
+		b.Fatalf("profile holds %d samples, want 8192", ctl.SampleCount())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		observe(i)
+	}
+}
+
+// BenchmarkFeedbackPercentile measures one feedback-loop tick: 100 ms of
+// arrivals (300 responses) into a 1 s rolling window of about 3,000, then
+// the p95 query the PI controller makes.
+func BenchmarkFeedbackPercentile(b *testing.B) {
+	cs := benchCompletions()
+	w := stats.NewRollingWindow(sim.Second)
+	var now sim.Time
+	i := 0
+	tick := func() float64 {
+		for end := i + 300; i < end; i++ {
+			now += benchCompletionGap
+			w.Add(now, cs[i&1023].ResponseNs)
+		}
+		return w.Percentile(0.95)
+	}
+	for k := 0; k < 20; k++ {
+		tick()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for k := 0; k < b.N; k++ {
+		if tick() <= 0 {
+			b.Fatal("bad percentile")
+		}
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -70,6 +71,25 @@ func profiledSamples(n int) ([]float64, []float64) {
 		mem[i] = 20e3 * (0.5 + r.Float64())
 	}
 	return comp, mem
+}
+
+// completionGap spaces completions ~3,000 per simulated second, a core's
+// rate at the paper's operating point.
+const completionGap = sim.Second / 3000
+
+// paperCompletions mirrors bench_test.go's benchCompletions: 1,024
+// paper-point completions with lognormal response latencies.
+func paperCompletions() []queueing.Completion {
+	r := rand.New(rand.NewSource(15))
+	cs := make([]queueing.Completion, 1024)
+	for i := range cs {
+		cs[i] = queueing.Completion{
+			ComputeCycles: 250e3 * (0.5 + r.Float64()),
+			MemTime:       sim.Time(20e3 * (0.5 + r.Float64())),
+			ResponseNs:    300e3 * math.Exp(0.4*r.NormFloat64()),
+		}
+	}
+	return cs
 }
 
 func uniformPMF(n int) stats.PMF {
@@ -319,6 +339,57 @@ var benches = []struct {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			histC.Push(vals[i&1023])
+		}
+	}},
+	{"ObserveCompletion", func(b *testing.B) {
+		// Per-completion measurement: validate the (C, M) pair, push both
+		// into full 8192-sample profiles, add the response to a warm 1 s
+		// feedback window (~3,000 completions per simulated second).
+		// Guard: 0 allocs/op.
+		ctl, err := rubik.NewController(500_000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cs := paperCompletions()
+		var now sim.Time
+		observe := func(i int) {
+			c := cs[i&1023]
+			now += completionGap
+			c.Done = now
+			ctl.ObserveCompletion(c)
+		}
+		for i := 0; i < 16384; i++ {
+			observe(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			observe(i)
+		}
+	}},
+	{"FeedbackPercentile", func(b *testing.B) {
+		// One feedback tick: 100 ms of arrivals (300 responses) into a
+		// 1 s window of ~3,000, then the p95 query. Guard: 0 allocs/op.
+		cs := paperCompletions()
+		w := stats.NewRollingWindow(sim.Second)
+		var now sim.Time
+		i := 0
+		tick := func() float64 {
+			for end := i + 300; i < end; i++ {
+				now += completionGap
+				w.Add(now, cs[i&1023].ResponseNs)
+			}
+			return w.Percentile(0.95)
+		}
+		for k := 0; k < 20; k++ {
+			tick()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for k := 0; k < b.N; k++ {
+			if tick() <= 0 {
+				b.Fatal("bad percentile")
+			}
 		}
 	}},
 	{"RubikDecision", func(b *testing.B) {

@@ -492,4 +492,59 @@ func TestBootstrapValidation(t *testing.T) {
 	if r.TableBuilds() != 1 {
 		t.Fatalf("builds = %d", r.TableBuilds())
 	}
+	if err := r.Bootstrap([]float64{1e5, -1}, []float64{10, 10}); err == nil {
+		t.Fatal("negative compute sample must error")
+	}
+	if err := r.Bootstrap([]float64{1e5, 2e5}, []float64{10, -10}); err == nil {
+		t.Fatal("negative memory sample must error")
+	}
+	if r.SampleCount() != 2 {
+		t.Fatalf("failed bootstraps must push nothing: %d samples", r.SampleCount())
+	}
+}
+
+// TestObserveCompletionRejectsBadPairs pins the profiler boundary: a
+// completion whose compute cycles or memory time is NaN, infinite or
+// negative is left out of both profiles, so they stay in step, and is
+// counted; the response still feeds the feedback window.
+func TestObserveCompletionRejectsBadPairs(t *testing.T) {
+	for _, merge := range []bool{false, true} {
+		cfg := DefaultConfig(1e6)
+		cfg.MergeMemory = merge
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := []queueing.Completion{
+			{ComputeCycles: math.NaN(), MemTime: 10},
+			{ComputeCycles: math.Inf(1), MemTime: 10},
+			{ComputeCycles: -1, MemTime: 10},
+			{ComputeCycles: 1e5, MemTime: -10},
+			{ComputeCycles: math.Inf(-1), MemTime: -10},
+		}
+		now := sim.Time(0)
+		for i := 0; i < 100; i++ {
+			now += sim.Microsecond
+			c := queueing.Completion{ComputeCycles: 1e5 + float64(i), MemTime: 100, Done: now, ResponseNs: 5e5}
+			if i%10 == 3 {
+				c = bad[(i/10)%len(bad)]
+				c.Done, c.ResponseNs = now, 5e5
+			}
+			r.ObserveCompletion(c)
+		}
+		if got := r.RejectedSamples(); got != 10 {
+			t.Fatalf("merge=%v: rejected %d, want 10", merge, got)
+		}
+		if r.histC.Len() != 90 || r.histM.Len() != 90 {
+			t.Fatalf("merge=%v: profiles hold %d/%d samples, want 90/90", merge, r.histC.Len(), r.histM.Len())
+		}
+		if r.respWindow.Len() != 100 {
+			t.Fatalf("merge=%v: feedback window holds %d responses, want 100", merge, r.respWindow.Len())
+		}
+		for _, s := range r.histC.Snapshot(nil) {
+			if s < 1e5 || s > 2e5 {
+				t.Fatalf("merge=%v: bad sample %v reached the compute profile", merge, s)
+			}
+		}
+	}
 }

@@ -155,6 +155,7 @@ type Rubik struct {
 	tableBuilds     int
 	tableSkips      int
 	rebuildFailures int
+	rejectedSamples int
 	decisions       int
 }
 
@@ -220,8 +221,8 @@ func (r *Rubik) Bootstrap(computeSamples, memSamples []float64) error {
 			len(computeSamples), len(memSamples))
 	}
 	for i := range computeSamples {
-		if bad(computeSamples[i]) || bad(memSamples[i]) {
-			return fmt.Errorf("core: bootstrap sample %d is not finite", i)
+		if !validSample(computeSamples[i]) || !validSample(memSamples[i]) {
+			return fmt.Errorf("core: bootstrap sample %d is negative or not finite", i)
 		}
 	}
 	for i := range computeSamples {
@@ -231,22 +232,30 @@ func (r *Rubik) Bootstrap(computeSamples, memSamples []float64) error {
 	return r.rebuild()
 }
 
-func bad(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
+// validSample reports whether a profiled compute-cycle or memory-time
+// sample is usable: finite and not negative (NaN fails the comparison).
+func validSample(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
 
 // ObserveCompletion implements queueing.CompletionObserver: it profiles the
 // request's compute cycles and memory time (the CPI-stack measurement of
 // paper Sec. 4.2) and feeds the measured response latency to the feedback
-// window.
+// window. The two samples are validated as a pair, so both profiles always
+// hold the same requests: a completion with a negative or non-finite C or
+// M is left out of both and counted in RejectedSamples.
 func (r *Rubik) ObserveCompletion(c queueing.Completion) {
 	cc := c.ComputeCycles
 	mt := float64(c.MemTime)
-	if r.cfg.MergeMemory {
-		// Ablation: pretend all work scales with frequency.
-		cc += mt * float64(cpu.NominalMHz) / 1000
-		mt = 0
+	if validSample(cc) && validSample(mt) {
+		if r.cfg.MergeMemory {
+			// Ablation: pretend all work scales with frequency.
+			cc += mt * float64(cpu.NominalMHz) / 1000
+			mt = 0
+		}
+		r.histC.Push(cc)
+		r.histM.Push(mt)
+	} else {
+		r.rejectedSamples++
 	}
-	r.histC.Push(cc)
-	r.histM.Push(mt)
 	if r.respWindow != nil {
 		r.respWindow.Add(c.Done, c.ResponseNs)
 	}
@@ -479,6 +488,11 @@ func (r *Rubik) TableSkips() int { return r.tableSkips }
 // RebuildFailures returns how many periodic refreshes failed and kept the
 // previous table.
 func (r *Rubik) RebuildFailures() int { return r.rebuildFailures }
+
+// RejectedSamples returns how many completions the profiler left out
+// because their compute cycles or memory time were negative or not
+// finite.
+func (r *Rubik) RejectedSamples() int { return r.rejectedSamples }
 
 // TableColumns returns how many tail-table columns the controller's
 // decisions have read, summed over table generations (see

@@ -206,6 +206,57 @@ func TestEnergyMeterResidency(t *testing.T) {
 	}
 }
 
+// TestEnergyMeterCachedWattsMatchModel pins the meter's per-frequency
+// cache: alternating on-grid and off-grid frequencies, repeats included,
+// active energy and residency must be bitwise what the model and a grid
+// scan give per call. The first accrual runs at 0 MHz (the cache's initial
+// key) in one sequence and at an off-grid step in the other.
+func TestEnergyMeterCachedWattsMatchModel(t *testing.T) {
+	g := DefaultGrid()
+	model := DefaultPowerModel()
+	model.ActivityFactor = 1.3
+	r := rand.New(rand.NewSource(9))
+	for _, first := range []int{0, 1750} {
+		m := NewEnergyMeter(g, model)
+		var wantJ float64
+		var wantNs sim.Time
+		wantRes := make([]sim.Time, g.Len())
+		f := first
+		for i := 0; i < 500; i++ {
+			dt := sim.Time(r.Intn(5000)) - 10 // a few non-positive spans
+			m.AccrueActive(dt, f)
+			if dt > 0 {
+				wantJ += model.ActivePower(f) * float64(dt) / 1e9
+				wantNs += dt
+				if k := g.Index(f); k >= 0 {
+					wantRes[k] += dt
+				}
+			}
+			if math.Float64bits(m.ActiveEnergyJ()) != math.Float64bits(wantJ) {
+				t.Fatalf("first %d, step %d (%d MHz): active %v J, want %v", first, i, f, m.ActiveEnergyJ(), wantJ)
+			}
+			if got := m.ActivePower(f); math.Float64bits(got) != math.Float64bits(model.ActivePower(f)) {
+				t.Fatalf("first %d, step %d: cached %v W at %d MHz, model %v", first, i, got, f, model.ActivePower(f))
+			}
+			switch r.Intn(3) {
+			case 0: // repeat: a cache hit
+			case 1:
+				f = g.Step(r.Intn(g.Len()))
+			default:
+				f = g.Step(r.Intn(g.Len())) + 1 + r.Intn(99) // off grid
+			}
+		}
+		if m.ActiveNs() != wantNs {
+			t.Fatalf("first %d: active %v ns, want %v", first, m.ActiveNs(), wantNs)
+		}
+		for k := range wantRes {
+			if m.residency[k] != wantRes[k] {
+				t.Fatalf("first %d: residency[%d] = %v, want %v", first, k, m.residency[k], wantRes[k])
+			}
+		}
+	}
+}
+
 func TestSolveLinear(t *testing.T) {
 	a := [][]float64{{2, 1}, {1, 3}}
 	b := []float64{5, 10}

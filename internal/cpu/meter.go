@@ -13,7 +13,7 @@ import (
 // a fixed frequency); residency backs the frequency histograms of
 // Figs. 7b/8b.
 type EnergyMeter struct {
-	Model PowerModel
+	model PowerModel
 	grid  Grid
 
 	activeJ  float64
@@ -22,15 +22,40 @@ type EnergyMeter struct {
 	idleNs   sim.Time
 	// residency[i] = active ns spent at grid step i.
 	residency []sim.Time
+
+	// The last frequency charged, with its active watts and grid index:
+	// a core changes frequency far less often than it accrues, so the
+	// model and the grid scan run once per change, not once per event.
+	mhz   int
+	watts float64
+	step  int
 }
 
 // NewEnergyMeter returns a meter for the given grid and power model.
 func NewEnergyMeter(grid Grid, model PowerModel) *EnergyMeter {
-	return &EnergyMeter{
-		Model:     model,
+	m := &EnergyMeter{
+		model:     model,
 		grid:      grid,
 		residency: make([]sim.Time, grid.Len()),
 	}
+	m.setFreq(0)
+	return m
+}
+
+// setFreq points the cache at fMHz.
+func (m *EnergyMeter) setFreq(fMHz int) {
+	m.mhz = fMHz
+	m.watts = m.model.ActivePower(fMHz)
+	m.step = m.grid.Index(fMHz)
+}
+
+// ActivePower returns the power model's active watts at fMHz, served from
+// the cache when fMHz is the frequency last charged.
+func (m *EnergyMeter) ActivePower(fMHz int) float64 {
+	if fMHz != m.mhz {
+		m.setFreq(fMHz)
+	}
+	return m.watts
 }
 
 // AccrueActive charges dt nanoseconds of execution at fMHz.
@@ -38,10 +63,10 @@ func (m *EnergyMeter) AccrueActive(dt sim.Time, fMHz int) {
 	if dt <= 0 {
 		return
 	}
-	m.activeJ += m.Model.ActivePower(fMHz) * float64(dt) / 1e9
+	m.activeJ += m.ActivePower(fMHz) * float64(dt) / 1e9
 	m.activeNs += dt
-	if i := m.grid.Index(fMHz); i >= 0 {
-		m.residency[i] += dt
+	if m.step >= 0 {
+		m.residency[m.step] += dt
 	}
 }
 
@@ -50,7 +75,7 @@ func (m *EnergyMeter) AccrueIdle(dt sim.Time) {
 	if dt <= 0 {
 		return
 	}
-	m.idleJ += m.Model.SleepPower() * float64(dt) / 1e9
+	m.idleJ += m.model.SleepPower() * float64(dt) / 1e9
 	m.idleNs += dt
 }
 

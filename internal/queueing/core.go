@@ -274,7 +274,7 @@ func (c *Core) Accrue() {
 	}
 	c.meter.AccrueActive(dt, c.cur)
 	if c.cfg.RecordTimeline {
-		j := c.meter.Model.ActivePower(c.cur) * float64(dt) / 1e9
+		j := c.meter.ActivePower(c.cur) * float64(dt) / 1e9
 		c.energyTimeline = append(c.energyTimeline, EnergySample{T: now, J: j})
 	}
 	head := &c.ring[c.head]

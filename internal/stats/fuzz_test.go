@@ -215,3 +215,123 @@ func FuzzLogHistogramMerge(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHistogramWindow drives the streaming profiler with arbitrary pushes
+// (NaN, ±Inf, negatives, ±0, duplicates, raw bit patterns) at capacities
+// 1–64, so window extrema are evicted in every order. After every push
+// the histogram must agree with a naive copy of its window: Len, the
+// extrema (ties to the newest sample, so ±0 keeps its sign), Snapshot,
+// and PMFInto bitwise equal to NewPMFFromSamples, errors included.
+func FuzzHistogramWindow(f *testing.F) {
+	// Ops: 0 NaN, 1 +Inf, 2 -Inf, 3 +0, 4 -0, 5 repeat the last value,
+	// 6 the next 8 bytes as raw bits, 7 a small signed integer.
+	f.Add(byte(4), byte(16), []byte{3, 4, 3, 4, 7, 0x80, 4, 3, 5, 5})
+	f.Add(byte(1), byte(1), []byte{0, 1, 2, 3, 4, 7, 5})
+	f.Add(byte(8), byte(127), []byte{7, 0x7f, 7, 2, 7, 3, 5, 7, 0x81, 7, 0x81, 7, 9, 7, 9, 7, 9, 7, 9})
+	// Spans whose bucket width underflows to 0 (a denormal over +0) or
+	// overflows to +Inf (±1e308): both binners must refuse them.
+	raw := func(vals ...float64) []byte {
+		var b []byte
+		for _, v := range vals {
+			b = binary.LittleEndian.AppendUint64(append(b, 6), math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(byte(63), byte(127), append(raw(5e-324), 3))
+	f.Add(byte(2), byte(127), raw(-1e308, 1e308, 1e308))
+
+	f.Fuzz(func(t *testing.T, capByte, bucketByte byte, ops []byte) {
+		capacity := 1 + int(capByte)%64
+		nbuckets := 1 + int(bucketByte)%140
+		h := NewHistogram(capacity)
+		var window []float64 // accepted samples, oldest first
+		var dst PMF
+		last := 1.0
+		for len(ops) > 0 {
+			op := ops[0]
+			ops = ops[1:]
+			var v float64
+			switch op % 8 {
+			case 0:
+				v = math.NaN()
+			case 1:
+				v = math.Inf(1)
+			case 2:
+				v = math.Inf(-1)
+			case 3:
+				v = 0
+			case 4:
+				v = math.Copysign(0, -1)
+			case 5:
+				v = last
+			case 6:
+				if len(ops) < 8 {
+					return
+				}
+				v = math.Float64frombits(binary.LittleEndian.Uint64(ops))
+				ops = ops[8:]
+			case 7:
+				if len(ops) == 0 {
+					return
+				}
+				v = float64(int8(ops[0]))
+				ops = ops[1:]
+			}
+			last = v
+			finite := !math.IsNaN(v) && !math.IsInf(v, 0)
+			if got := h.Push(v); got != finite {
+				t.Fatalf("Push(%v) = %v, want %v", v, got, finite)
+			}
+			if finite {
+				window = append(window, v)
+				if len(window) > capacity {
+					window = window[1:]
+				}
+			}
+			if h.Len() != len(window) {
+				t.Fatalf("Len %d, want %d", h.Len(), len(window))
+			}
+			var lo, hi float64
+			if len(window) > 0 {
+				lo, hi = window[0], window[0]
+			}
+			for _, s := range window {
+				if s <= lo {
+					lo = s
+				}
+				if s >= hi {
+					hi = s
+				}
+			}
+			if gotLo, gotHi := h.extrema(); !sameBits(gotLo, lo) || !sameBits(gotHi, hi) {
+				t.Fatalf("extrema (%v, %v), want (%v, %v) over %v", gotLo, gotHi, lo, hi, window)
+			}
+			snap := h.Snapshot(nil)
+			if len(snap) != len(window) {
+				t.Fatalf("snapshot %v, want %v", snap, window)
+			}
+			for i := range window {
+				if !sameBits(snap[i], window[i]) {
+					t.Fatalf("snapshot %v, want %v", snap, window)
+				}
+			}
+			want, wantErr := NewPMFFromSamples(window, nbuckets)
+			gotErr := h.PMFInto(&dst, nbuckets)
+			if (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("PMFInto error %v, NewPMFFromSamples error %v over %v", gotErr, wantErr, window)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if !sameBits(dst.Origin, want.Origin) || !sameBits(dst.Width, want.Width) || len(dst.P) != len(want.P) {
+				t.Fatalf("PMF geometry (%v, %v, %d), want (%v, %v, %d)",
+					dst.Origin, dst.Width, len(dst.P), want.Origin, want.Width, len(want.P))
+			}
+			for k := range want.P {
+				if !sameBits(dst.P[k], want.P[k]) {
+					t.Fatalf("bucket %d: %v, want %v", k, dst.P[k], want.P[k])
+				}
+			}
+		}
+	})
+}

@@ -6,9 +6,11 @@ import (
 )
 
 // Histogram is a streaming profiler over a sliding window of the most
-// recent Capacity() samples: a ring buffer plus monotonic min/max deques,
-// giving O(1) amortized ingest and O(1) window extrema. PMFInto then bins
-// the window into a caller-owned PMF without allocating.
+// recent Capacity() samples: a ring buffer with a wrapping write index.
+// Push is constant-time and division-free; PMFInto finds the window
+// extrema and bins the window into a caller-owned PMF in two linear
+// passes over the ring's (at most) two contiguous segments, without
+// allocating.
 //
 // It replaces the append-then-copy sample slices on Rubik's profiling path:
 // those cost O(HistoryCap) per completion once the window is full (the
@@ -18,15 +20,9 @@ import (
 // NewPMFFromSamples over the same window, so swapping it in changes no
 // simulation results.
 type Histogram struct {
-	buf    []float64
-	pushed uint64 // total accepted samples; sample p lives at buf[p%cap]
-
-	// Monotonic deques of absolute sample positions, stored in rings of
-	// the same capacity. minPos fronts the position of the window minimum
-	// (values ascending from front to back), maxPos the maximum.
-	minPos, maxPos  []uint64
-	minHead, minLen int
-	maxHead, maxLen int
+	buf  []float64
+	next int // ring slot the next sample overwrites: the oldest once full
+	n    int // samples in the window
 }
 
 // NewHistogram returns a histogram over a window of the given capacity.
@@ -36,95 +32,70 @@ func NewHistogram(capacity int) *Histogram {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &Histogram{
-		buf:    make([]float64, capacity),
-		minPos: make([]uint64, capacity),
-		maxPos: make([]uint64, capacity),
-	}
+	return &Histogram{buf: make([]float64, capacity)}
 }
 
 // Capacity returns the window capacity.
 func (h *Histogram) Capacity() int { return len(h.buf) }
 
 // Len returns the number of samples currently in the window.
-func (h *Histogram) Len() int {
-	if h.pushed < uint64(len(h.buf)) {
-		return int(h.pushed)
-	}
-	return len(h.buf)
-}
+func (h *Histogram) Len() int { return h.n }
 
 // Push ingests one sample, evicting the oldest when the window is full.
 // Non-finite samples are rejected (reported false) so the window always
 // bins cleanly; NewPMFFromSamples treats them as input errors instead,
 // which a per-completion streaming path cannot afford to surface.
 func (h *Histogram) Push(v float64) bool {
-	c := len(h.buf)
-	if c == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+	if len(h.buf) == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return false
 	}
-	pos := h.pushed
-	if pos >= uint64(c) { // evict sample pos-c
-		old := pos - uint64(c)
-		if h.minLen > 0 && h.minPos[h.minHead] == old {
-			h.minHead = (h.minHead + 1) % c
-			h.minLen--
-		}
-		if h.maxLen > 0 && h.maxPos[h.maxHead] == old {
-			h.maxHead = (h.maxHead + 1) % c
-			h.maxLen--
-		}
+	h.buf[h.next] = v
+	h.next++
+	if h.next == len(h.buf) {
+		h.next = 0
 	}
-	h.buf[pos%uint64(c)] = v
-	// Keep the deques monotonic: drop entries the new sample dominates.
-	// Dropping equals keeps the newer position, which survives longer.
-	for h.minLen > 0 {
-		back := h.minPos[(h.minHead+h.minLen-1)%c]
-		if h.buf[back%uint64(c)] < v {
-			break
-		}
-		h.minLen--
+	if h.n < len(h.buf) {
+		h.n++
 	}
-	h.minPos[(h.minHead+h.minLen)%c] = pos
-	h.minLen++
-	for h.maxLen > 0 {
-		back := h.maxPos[(h.maxHead+h.maxLen-1)%c]
-		if h.buf[back%uint64(c)] > v {
-			break
-		}
-		h.maxLen--
-	}
-	h.maxPos[(h.maxHead+h.maxLen)%c] = pos
-	h.maxLen++
-	h.pushed++
 	return true
 }
 
-// Min returns the smallest sample in the window (0 when empty).
-func (h *Histogram) Min() float64 {
-	if h.minLen == 0 {
-		return 0
-	}
-	return h.buf[h.minPos[h.minHead]%uint64(len(h.buf))]
+// segments returns the window as two contiguous runs of the ring, oldest
+// first: older then newer. Until the ring first wraps, next == n and older
+// is empty.
+func (h *Histogram) segments() (older, newer []float64) {
+	return h.buf[h.next:h.n], h.buf[:h.next]
 }
 
-// Max returns the largest sample in the window (0 when empty).
-func (h *Histogram) Max() float64 {
-	if h.maxLen == 0 {
-		return 0
+// extrema returns the window's smallest and largest samples (0, 0 when
+// empty). Values that compare equal resolve to the newest sample, so a
+// window holding both -0 and +0 reports the sign of the later one, the
+// same tie rule as NewPMFFromSamples.
+func (h *Histogram) extrema() (lo, hi float64) {
+	if h.n == 0 {
+		return 0, 0
 	}
-	return h.buf[h.maxPos[h.maxHead]%uint64(len(h.buf))]
+	lo, hi = math.Inf(1), math.Inf(-1) // every stored sample is finite
+	older, newer := h.segments()
+	for _, seg := range [2][]float64{older, newer} {
+		for _, s := range seg {
+			if s <= lo {
+				lo = s
+			}
+			if s >= hi {
+				hi = s
+			}
+		}
+	}
+	return lo, hi
 }
 
 // Snapshot appends the window's samples, oldest first, to dst and returns
 // the result. Pass nil to get a fresh copy.
 func (h *Histogram) Snapshot(dst []float64) []float64 {
-	c := uint64(len(h.buf))
-	n := uint64(h.Len())
-	for p := h.pushed - n; p < h.pushed; p++ {
-		dst = append(dst, h.buf[p%c])
-	}
-	return dst
+	older, newer := h.segments()
+	dst = append(dst, older...)
+	return append(dst, newer...)
 }
 
 // PMFInto bins the window into dst, reusing dst.P's backing array when its
@@ -141,7 +112,7 @@ func (h *Histogram) PMFInto(dst *PMF, nbuckets int) error {
 	if nbuckets <= 0 {
 		return fmt.Errorf("stats: nbuckets must be positive, got %d", nbuckets)
 	}
-	lo, hi := h.Min(), h.Max()
+	lo, hi := h.extrema()
 	if hi == lo {
 		p := dst.P
 		if cap(p) < 1 {
@@ -154,6 +125,9 @@ func (h *Histogram) PMFInto(dst *PMF, nbuckets int) error {
 		return nil
 	}
 	w := (hi - lo) / float64(nbuckets)
+	if err := checkWidth(lo, hi, w, nbuckets); err != nil {
+		return err
+	}
 	p := dst.P
 	if cap(p) < nbuckets {
 		p = make([]float64, nbuckets)
@@ -164,14 +138,15 @@ func (h *Histogram) PMFInto(dst *PMF, nbuckets int) error {
 		}
 	}
 	inc := 1 / float64(n)
-	c := uint64(len(h.buf))
-	for pos := h.pushed - uint64(n); pos < h.pushed; pos++ {
-		s := h.buf[pos%c]
-		k := int((s - lo) / w)
-		if k >= nbuckets { // s == hi lands one past the end
-			k = nbuckets - 1
+	older, newer := h.segments()
+	for _, seg := range [2][]float64{older, newer} {
+		for _, s := range seg {
+			k := int((s - lo) / w)
+			if k >= nbuckets { // s == hi lands one past the end
+				k = nbuckets - 1
+			}
+			p[k] += inc
 		}
-		p[k] += inc
 	}
 	*dst = PMF{Origin: lo, Width: w, P: p}
 	return nil

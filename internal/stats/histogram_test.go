@@ -24,7 +24,7 @@ func TestHistogramMatchesNewPMFFromSamples(t *testing.T) {
 			var v float64
 			switch r.Intn(4) {
 			case 0:
-				v = float64(r.Intn(4)) // heavy ties exercise the deques
+				v = float64(r.Intn(4)) // heavy ties exercise the extrema tie rule
 			default:
 				v = r.NormFloat64() * 1e5
 			}
@@ -64,7 +64,7 @@ func TestHistogramMatchesNewPMFFromSamples(t *testing.T) {
 }
 
 func TestHistogramWindowExtrema(t *testing.T) {
-	// Min/Max must track the sliding window exactly (naive recompute).
+	// The extrema must track the sliding window exactly (naive recompute).
 	r := rand.New(rand.NewSource(3))
 	const capacity = 37
 	h := NewHistogram(capacity)
@@ -82,8 +82,8 @@ func TestHistogramWindowExtrema(t *testing.T) {
 			lo = math.Min(lo, s)
 			hi = math.Max(hi, s)
 		}
-		if h.Min() != lo || h.Max() != hi {
-			t.Fatalf("push %d: extrema (%v, %v), want (%v, %v)", i, h.Min(), h.Max(), lo, hi)
+		if gotLo, gotHi := h.extrema(); gotLo != lo || gotHi != hi {
+			t.Fatalf("push %d: extrema (%v, %v), want (%v, %v)", i, gotLo, gotHi, lo, hi)
 		}
 		if h.Len() != len(window) {
 			t.Fatalf("push %d: len %d, want %d", i, h.Len(), len(window))

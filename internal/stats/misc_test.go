@@ -233,6 +233,101 @@ func TestRollingWindowCountSince(t *testing.T) {
 	}
 }
 
+// TestRollingWindowPercentileMatchesSort pins the warm-started feedback
+// percentile against a copy-and-sort of the live window. One window sees
+// a sliding stream with level shifts (the previous answer's bracket
+// misses), heavy ties and queries that alternate q, and must take both
+// the bracketed and the full-selection path. Once warm, queries allocate
+// nothing.
+func TestRollingWindowPercentileMatchesSort(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	w := NewRollingWindow(3000)
+	qs := []float64{0.95, 0.95, 0.95, 0.99, 0.5, 0.95}
+	var now int64
+	level := 1e5
+	hits, misses := 0, 0
+	for i := 0; i < 40000; i++ {
+		if i%7000 == 6999 { // level shift: x3 up, then back down
+			if level > 1e5 {
+				level = 1e5
+			} else {
+				level = 3e5
+			}
+		}
+		now += 1 + int64(r.Intn(2))
+		v := level * math.Exp(r.NormFloat64()*0.5)
+		if (i/2500)%2 == 1 {
+			v = math.Round(v/level*4) * level / 4 // heavy ties
+		}
+		w.Add(now, v)
+		if i%100 != 0 || w.Len() < 16 {
+			continue
+		}
+		q := qs[(i/100)%len(qs)]
+		if w.warm && q == w.lastQ {
+			if _, ok := w.bracketed(w.buf[w.head:], nearestRank(q, w.Len())); ok {
+				hits++
+			} else {
+				misses++
+			}
+		}
+		want := Percentile(w.Values(), q)
+		if got := w.Percentile(q); !sameBits(got, want) {
+			t.Fatalf("sample %d: Percentile(%v) = %v, want %v", i, q, got, want)
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Fatalf("bracketed path taken %d times, missed %d: both paths must run", hits, misses)
+	}
+	// The bracket's edges: after an answer of 95 the bracket is
+	// [85.5, 104.5]. Each case refills the window so that the wanted rank
+	// (18 of 20) lands just outside the bracket, on its first value, or
+	// on its edges.
+	edge := NewRollingWindow(10)
+	for i := 1; i <= 100; i++ {
+		edge.Add(0, float64(i))
+	}
+	if got := edge.Percentile(0.95); got != 95 {
+		t.Fatalf("p95 = %v, want 95", got)
+	}
+	var at int64
+	for _, c := range []struct {
+		nLow      int
+		low, high float64
+		want      float64
+		bracketed bool
+	}{
+		{18, 1, 200, 200, false},       // rank on the first value above
+		{19, 1, 90, 1, false},          // rank on the last value below
+		{18, 1, 90, 90, true},          // rank on the first value inside
+		{18, 85.5, 104.5, 104.5, true}, // rank on the upper edge
+		{19, 85.5, 200, 85.5, true},    // rank on the lower edge
+	} {
+		at += 2 * edge.Span
+		edge.AdvanceTo(at)
+		for i := 0; i < 20; i++ {
+			v := c.high
+			if i < c.nLow {
+				v = c.low
+			}
+			edge.Add(at, v)
+		}
+		edge.last = 95 // aim the bracket
+		_, hit := edge.bracketed(edge.buf[edge.head:], nearestRank(0.95, edge.Len()))
+		if got := edge.Percentile(0.95); got != c.want || hit != c.bracketed {
+			t.Fatalf("p95 of %d x %v and %d x %v = %v (bracketed %v), want %v (%v)",
+				c.nLow, c.low, 20-c.nLow, c.high, got, hit, c.want, c.bracketed)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		w.Percentile(0.95)
+		w.Percentile(0.99)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Percentile allocates %v/op, want 0", allocs)
+	}
+}
+
 func TestRollingWindowCompaction(t *testing.T) {
 	w := NewRollingWindow(10)
 	for i := int64(0); i < 100000; i++ {

@@ -22,7 +22,9 @@ type PMF struct {
 
 // NewPMFFromSamples builds an equal-width PMF with nbuckets buckets spanning
 // [min(samples), max(samples)]. It returns a degenerate single-bucket PMF
-// when all samples are equal. The paper's implementation uses 128-bucket
+// when all samples are equal. Extrema that compare equal resolve to the
+// later sample (which only shows as the sign of a ±0 extremum), matching
+// the streaming Histogram. The paper's implementation uses 128-bucket
 // distributions; callers pass that.
 func NewPMFFromSamples(samples []float64, nbuckets int) (PMF, error) {
 	if len(samples) == 0 {
@@ -36,10 +38,10 @@ func NewPMFFromSamples(samples []float64, nbuckets int) (PMF, error) {
 		if math.IsNaN(s) || math.IsInf(s, 0) {
 			return PMF{}, fmt.Errorf("stats: sample is not finite: %v", s)
 		}
-		if s < lo {
+		if s <= lo {
 			lo = s
 		}
-		if s > hi {
+		if s >= hi {
 			hi = s
 		}
 	}
@@ -47,6 +49,9 @@ func NewPMFFromSamples(samples []float64, nbuckets int) (PMF, error) {
 		return PMF{Origin: lo, Width: 1, P: []float64{1}}, nil
 	}
 	w := (hi - lo) / float64(nbuckets)
+	if err := checkWidth(lo, hi, w, nbuckets); err != nil {
+		return PMF{}, err
+	}
 	p := make([]float64, nbuckets)
 	inc := 1 / float64(len(samples))
 	for _, s := range samples {
@@ -57,6 +62,17 @@ func NewPMFFromSamples(samples []float64, nbuckets int) (PMF, error) {
 		p[k] += inc
 	}
 	return PMF{Origin: lo, Width: w, P: p}, nil
+}
+
+// checkWidth rejects a bucket width that cannot bin the span [lo, hi]:
+// +Inf when the span overflows, or 0 when dividing a subnormal span into
+// nbuckets underflows. Either would give the binning loop a NaN bucket
+// index.
+func checkWidth(lo, hi, w float64, nbuckets int) error {
+	if w == 0 || math.IsInf(w, 0) {
+		return fmt.Errorf("stats: sample span [%v, %v] does not divide into %d buckets", lo, hi, nbuckets)
+	}
+	return nil
 }
 
 // Mass returns the total probability mass (1 up to rounding for any
