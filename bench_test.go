@@ -91,23 +91,15 @@ func BenchmarkSourceHotPath(b *testing.B) {
 // first read, so each iteration also reads the deepest column: rebuild
 // plus all 16 columns, the work every refresh did before columns became
 // lazy, which keeps the number comparable with bench/baseline.
-func BenchmarkTailTableBuild(b *testing.B) { benchTailTableRefresh(b, true, 15) }
+func BenchmarkTailTableBuild(b *testing.B) { benchTailTableRefresh(b, 15) }
 
 // BenchmarkTailTableRefresh is the typical paper-point table generation:
 // a refresh whose decisions read queue positions 0..4 only.
-func BenchmarkTailTableRefresh(b *testing.B) { benchTailTableRefresh(b, true, 4) }
-
-// BenchmarkTailTableBuildPacked pins the packed real-FFT rebuild pipeline
-// explicitly (it is the builder default, so it matches
-// BenchmarkTailTableBuild today); BenchmarkTailTableBuildRef is the
-// reference complex pipeline — the pair is the packed pipeline's
-// before/after at the paper's table shape.
-func BenchmarkTailTableBuildPacked(b *testing.B) { benchTailTableRefresh(b, true, 15) }
-func BenchmarkTailTableBuildRef(b *testing.B)    { benchTailTableRefresh(b, false, 15) }
+func BenchmarkTailTableRefresh(b *testing.B) { benchTailTableRefresh(b, 4) }
 
 // benchTailTableRefresh times one refresh plus the reads of columns
-// 0..deepest on the chosen pipeline.
-func benchTailTableRefresh(b *testing.B, packed bool, deepest int) {
+// 0..deepest.
+func benchTailTableRefresh(b *testing.B, deepest int) {
 	b.Helper()
 	r := rand.New(rand.NewSource(1))
 	histC := stats.NewHistogram(4096)
@@ -120,7 +112,6 @@ func benchTailTableRefresh(b *testing.B, packed bool, deepest int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tb.Packed = packed
 	refresh := func() {
 		tbl, _, err := tb.Rebuild(histC, histM)
 		if err != nil {
@@ -604,44 +595,10 @@ func BenchmarkDynamicOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkConvolutionFFT measures the FFT-based 16-position convolution
-// chain at the paper's 128-bucket resolution on the production path: a
-// cached ConvolutionPlan writing into reused buffers (zero steady-state
-// allocations, bitwise-equal to the naive chain).
-func BenchmarkConvolutionFFT(b *testing.B) {
-	r := rand.New(rand.NewSource(6))
-	p := make([]float64, 128)
-	var tot float64
-	for i := range p {
-		p[i] = r.Float64()
-		tot += p[i]
-	}
-	for i := range p {
-		p[i] /= tot
-	}
-	d := stats.PMF{Origin: 0, Width: 1000, P: p}
-	plan, err := stats.NewConvolutionPlan(stats.PlanSizeFor(128, 128, 16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]stats.PMF, 16)
-	if err := plan.IterConvolutionsInto(dst, d, d); err != nil { // warm buffers
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := plan.IterConvolutionsInto(dst, d, d); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkConvolutionPacked runs both 16-position self-convolution
 // chains in one packed real-FFT pass — one forward transform, Hermitian
 // half-spectrum power steps, size-pruned fused inverses. Compare against
-// 2x BenchmarkConvolutionFFT, the two independent reference chains a
-// rebuild would otherwise run.
+// 2x BenchmarkConvolutionFFTUnplanned, the naive chains it replaces.
 func BenchmarkConvolutionPacked(b *testing.B) {
 	r := rand.New(rand.NewSource(6))
 	mk := func() stats.PMF {
@@ -675,9 +632,9 @@ func BenchmarkConvolutionPacked(b *testing.B) {
 	}
 }
 
-// BenchmarkConvolutionFFTUnplanned is the pre-plan chain (twiddles and
-// buffers recomputed per call), kept as the before side of the plan's
-// before/after story.
+// BenchmarkConvolutionFFTUnplanned is the naive chain (twiddles and
+// buffers recomputed per call), stats.IterConvolutions — the test oracle
+// the packed pipeline is checked against.
 func BenchmarkConvolutionFFTUnplanned(b *testing.B) {
 	r := rand.New(rand.NewSource(6))
 	p := make([]float64, 128)

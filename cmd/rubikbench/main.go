@@ -230,16 +230,15 @@ func troughFleetBench(tablecache int) func(b *testing.B) {
 	}
 }
 
-// tailTableBench times one table refresh at paper parameters on the
-// chosen pipeline, plus the reads of columns 0..deepest.
-func tailTableBench(packed bool, deepest int) func(b *testing.B) {
+// tailTableBench times one table refresh at paper parameters, plus the
+// reads of columns 0..deepest.
+func tailTableBench(deepest int) func(b *testing.B) {
 	return func(b *testing.B) {
 		histC, histM := profiledHistograms(4096)
 		tb, err := rubikcore.NewTableBuilder(0.95, 128, 8, 16)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tb.Packed = packed
 		refresh := func() {
 			tbl, _, err := tb.Rebuild(histC, histM)
 			if err != nil {
@@ -267,14 +266,8 @@ var benches = []struct {
 	// work every refresh did before columns became lazy, comparable with
 	// the committed baseline. TailTableRefresh is the typical paper-point
 	// generation, whose decisions read queue positions 0..4.
-	{"TailTableBuild", tailTableBench(true, 15)},
-	{"TailTableRefresh", tailTableBench(true, 4)},
-	// Same rebuild as TailTableBuild with the packed pipeline pinned
-	// explicitly (it is the builder default), so the name survives any
-	// future default change; TailTableBuildRef is the reference complex
-	// pipeline the packed one is measured against.
-	{"TailTableBuildPacked", tailTableBench(true, 15)},
-	{"TailTableBuildRef", tailTableBench(false, 15)},
+	{"TailTableBuild", tailTableBench(15)},
+	{"TailTableRefresh", tailTableBench(4)},
 	{"TailTableBuildOneShot", func(b *testing.B) {
 		comp, mem := profiledSamples(4096)
 		b.ReportAllocs()
@@ -287,28 +280,9 @@ var benches = []struct {
 			tbl.Lookup(0, 15)
 		}
 	}},
-	{"ConvolutionFFT", func(b *testing.B) {
-		d := uniformPMF(128)
-		plan, err := stats.NewConvolutionPlan(stats.PlanSizeFor(128, 128, 16))
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst := make([]stats.PMF, 16)
-		if err := plan.IterConvolutionsInto(dst, d, d); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := plan.IterConvolutionsInto(dst, d, d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}},
 	{"ConvolutionPacked", func(b *testing.B) {
-		// Both 16-position chains in one packed pass — compare against
-		// 2x ConvolutionFFT, the two independent reference chains it
-		// replaces inside a rebuild.
+		// Both 16-position self-convolution chains of a rebuild in one
+		// packed pass.
 		c := uniformPMF(128)
 		m := uniformPMF(128)
 		plan, err := stats.NewPackedConvolutionPlan(stats.PackedPlanSizeFor(128, 128, 16))

@@ -14,11 +14,8 @@
 //	rubiksim -exp fig6 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // -cpuprofile/-memprofile write pprof profiles covering the whole run
-// (inspect with `go tool pprof`); -tablecache sizes the per-shard
-// rebuild cache of fleet runs (-1 disables it, 0 keeps the default);
-// -packedfft=false switches the -cap/-sockets controllers from the
-// packed real-FFT rebuild pipeline (the default) back to the reference
-// complex pipeline — output is identical, only rebuild cost changes.
+// (inspect with `go tool pprof`); -tablecache sizes the per-socket
+// rebuild cache of fleet runs (-1 disables it, 0 keeps the default).
 package main
 
 import (
@@ -38,7 +35,7 @@ import (
 // JSQ dispatch, bursty traffic) and prints the pooled tails plus the
 // power-domain accounting — the quick way to poke at a cap level and
 // allocator without running the full capping experiment sweep.
-func runCapped(w io.Writer, capW float64, allocator string, packed, quick bool, seed int64) error {
+func runCapped(w io.Writer, capW float64, allocator string, quick bool, seed int64) error {
 	alloc, err := rubik.AllocatorByName(allocator)
 	if err != nil {
 		return err
@@ -61,7 +58,7 @@ func runCapped(w io.Writer, capW float64, allocator string, packed, quick bool, 
 		return err
 	}
 	cfg := rubik.NewCappedCluster(cores, rubik.JSQDispatcher(), capW, alloc,
-		func(int) (rubik.Policy, error) { return newController(bound, packed) })
+		func(int) (rubik.Policy, error) { return rubik.NewController(bound) })
 	res, err := rubik.SimulateClusterSource(src, cfg)
 	if err != nil {
 		return err
@@ -111,7 +108,7 @@ func (h hierOpts) spec() (*rubik.HierarchySpec, error) {
 	return &rubik.HierarchySpec{Levels: levels}, nil
 }
 
-func runFleet(w io.Writer, sockets, shards, tablecache int, capW float64, allocator string, hier hierOpts, packed, quick bool, seed int64) error {
+func runFleet(w io.Writer, sockets, shards, tablecache int, capW float64, allocator string, hier hierOpts, quick bool, seed int64) error {
 	app, err := rubik.AppByName("masstree")
 	if err != nil {
 		return err
@@ -133,7 +130,7 @@ func runFleet(w io.Writer, sockets, shards, tablecache int, capW float64, alloca
 			}
 			return src
 		},
-		func(int, int) (rubik.Policy, error) { return newController(bound, packed) })
+		func(int, int) (rubik.Policy, error) { return rubik.NewController(bound) })
 	cfg.Shards = shards
 	cfg.TableCacheEntries = tablecache
 	cfg.NewDispatcher = func(int) rubik.Dispatcher { return rubik.JSQDispatcher() }
@@ -192,14 +189,6 @@ func runFleet(w io.Writer, sockets, shards, tablecache int, capW float64, alloca
 	return nil
 }
 
-// newController builds a paper-parameter Rubik controller with the
-// rebuild pipeline chosen by -packedfft.
-func newController(boundNs float64, packed bool) (rubik.Policy, error) {
-	cfg := rubik.DefaultControllerConfig(boundNs)
-	cfg.PackedFFT = packed
-	return rubik.NewControllerWithConfig(cfg)
-}
-
 // run is main's body, returning an exit code instead of calling os.Exit
 // so profile- and output-file defers run on every path.
 func run() int {
@@ -214,14 +203,13 @@ func run() int {
 		allocator  = flag.String("allocator", "waterfill", "budget allocator for -cap (uniform, greedy-slack, waterfill)")
 		sockets    = flag.Int("sockets", 0, "run a sharded fleet with this many sockets instead of an experiment (-cap then sets the per-socket budget)")
 		shards     = flag.Int("shards", 0, "event-loop goroutines for -sockets (0 = GOMAXPROCS, clamped to the socket count)")
-		tablecache = flag.Int("tablecache", 0, "per-shard rebuild-cache entries for -sockets (0 = default, -1 = disable)")
+		tablecache = flag.Int("tablecache", 0, "per-socket rebuild-cache entries for -sockets (0 = default, -1 = disable)")
 		rackcap    = flag.Float64("rackcap", 0, "hierarchical fleet capping: rack-level budget (W) for -sockets (0 = flat capping only)")
 		pducap     = flag.Float64("pducap", 0, "per-PDU budget (W) for -rackcap (0 = unlimited below the rack)")
 		pdus       = flag.Int("pdus", 0, "PDU nodes between rack and sockets for -rackcap (0 = rack feeds sockets directly)")
 		oversub    = flag.Float64("oversub", 1, "PDU oversubscription ratio for -rackcap (>= 1)")
 		halloc     = flag.String("halloc", "waterfill", "tree-level allocator for -rackcap (static, waterfill)")
 		epoch      = flag.Float64("epoch", 5, "budget re-allocation cadence in simulated ms for -rackcap")
-		packedfft  = flag.Bool("packedfft", true, "use the packed real-FFT table-rebuild pipeline (false = reference complex pipeline)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -279,14 +267,14 @@ func run() int {
 
 	if *sockets > 0 {
 		hier := hierOpts{RackW: *rackcap, PDUW: *pducap, PDUs: *pdus, Oversub: *oversub, Alloc: *halloc, EpochMs: *epoch}
-		if err := runFleet(w, *sockets, *shards, *tablecache, *capW, *allocator, hier, *packedfft, *quick, *seed); err != nil {
+		if err := runFleet(w, *sockets, *shards, *tablecache, *capW, *allocator, hier, *quick, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "rubiksim:", err)
 			return 1
 		}
 		return 0
 	}
 	if *capW > 0 {
-		if err := runCapped(w, *capW, *allocator, *packedfft, *quick, *seed); err != nil {
+		if err := runCapped(w, *capW, *allocator, *quick, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "rubiksim:", err)
 			return 1
 		}

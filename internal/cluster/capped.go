@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rubik/internal/capping"
+	rubikcore "rubik/internal/core"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
 )
@@ -183,9 +184,10 @@ func (ctl *domainCtl) finalize() capping.DomainStats {
 
 // cappedPolicy filters one member core's policy through its domain
 // controller. It forwards Name (results stay labeled by the inner policy),
-// ticks and completion observations, and is fully transparent when the cap
-// never binds: grants equal desires, no sibling is touched, and the
-// decision sequence is identical to the unwrapped run.
+// ticks, completion observations and the rebuild cache, and is fully
+// transparent when the cap never binds: grants equal desires, no sibling
+// is touched, and the decision sequence is identical to the unwrapped
+// run.
 type cappedPolicy struct {
 	inner  queueing.Policy
 	ticker queueing.Ticker             // inner as Ticker, nil if not one
@@ -232,6 +234,15 @@ func (p *cappedPolicy) OnTick(v queueing.View) int {
 func (p *cappedPolicy) ObserveCompletion(c queueing.Completion) {
 	if p.obs != nil {
 		p.obs.ObserveCompletion(c)
+	}
+}
+
+// SetTableCache implements TableCacheUser by forwarding to the inner
+// policy, so a capped core shares its cluster's rebuild cache exactly as
+// the unwrapped policy would.
+func (p *cappedPolicy) SetTableCache(c *rubikcore.TableCache) {
+	if u, ok := p.inner.(TableCacheUser); ok {
+		u.SetTableCache(c)
 	}
 }
 

@@ -57,9 +57,9 @@ type Config struct {
 	// Results are unchanged — a verified cache hit is bitwise-identical
 	// to rebuilding — so this is purely a throughput knob. Nil (the
 	// default, and the single-core path's default throughout) leaves
-	// every policy rebuilding privately. The cache is goroutine-confined:
+	// every policy rebuilding privately. The cache does not synchronize:
 	// share one only across clusters simulated on the same goroutine
-	// (RunFleet hands every socket of a shard the same cache).
+	// (RunFleet gives every socket its own).
 	TableCache *rubikcore.TableCache
 }
 
@@ -329,8 +329,8 @@ func finalize(eng *sim.Engine, cores []*queueing.Core, dispatcher string, routed
 }
 
 // socketSim is one cluster simulation split into (setup, advance,
-// result): exactly RunSource's body, but resumable, so the hierarchical
-// fleet can interleave many sockets at epoch barriers. RunSource composes
+// result): exactly RunSource's body, but resumable, so RunFleet's epoch
+// runner can interleave many sockets at epoch barriers. RunSource composes
 // the three pieces in one shot, which keeps the split from ever drifting
 // from the single-shot path.
 type socketSim struct {

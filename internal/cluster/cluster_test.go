@@ -295,43 +295,3 @@ func TestCompletionsHeapMergeMatchesLinearScan(t *testing.T) {
 	}
 	check("6-core JSQ", real6)
 }
-
-// TestPackedFFTDecisionEquivalence is the decision-trajectory sweep for
-// the packed rebuild pipeline: clusters whose Rubik controllers rebuild
-// through the packed path and through the reference complex path must
-// produce identical Results — every completion, every per-core tail —
-// across application profiles, loads, and dispatchers. The pipelines
-// differ at the ulp level inside the convolutions, but the quantile
-// bucketing of the tail tables absorbs that noise, so every frequency
-// decision (and therefore the whole trajectory) comes out the same.
-func TestPackedFFTDecisionEquivalence(t *testing.T) {
-	packedCfg := func(cores int, d Dispatcher, boundNs float64, packed bool) Config {
-		cfg := fixedCfg(cores, d)
-		cfg.NewPolicy = func(int) (queueing.Policy, error) {
-			rc := rubikcore.DefaultConfig(boundNs)
-			rc.PackedFFT = packed
-			return rubikcore.New(rc)
-		}
-		return cfg
-	}
-	apps := []workload.LCApp{workload.Masstree(), workload.Xapian(), workload.Moses()}
-	for ai, app := range apps {
-		for _, load := range []float64{0.3, 0.7} {
-			tr := workload.GenerateAtLoad(app, load*4, 1500, 17+int64(ai))
-			for _, d := range Dispatchers(5) {
-				got, err := Run(tr, packedCfg(4, d, 500_000, true))
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := Run(tr, packedCfg(4, d, 500_000, false))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s load %.1f: packed and reference trajectories differ",
-						app.Name, d.Name(), load)
-				}
-			}
-		}
-	}
-}

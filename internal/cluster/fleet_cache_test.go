@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"rubik/internal/capping"
 	rubikcore "rubik/internal/core"
 	"rubik/internal/queueing"
 	"rubik/internal/sim"
@@ -19,19 +20,22 @@ import (
 func rubikFleetConfig(t *testing.T, scenario, dispatcher string, sockets, coresPer, nPer, shards int) FleetConfig {
 	t.Helper()
 	cfg := fleetConfig(t, scenario, dispatcher, sockets, coresPer, nPer, 0, shards)
-	cfg.NewPolicy = func(int, int) (queueing.Policy, error) {
-		rcfg := rubikcore.DefaultConfig(500_000)
-		rcfg.UpdatePeriod = 2 * sim.Millisecond
-		rcfg.MinSamples = 16
-		rcfg.HistoryCap = 256
-		return rubikcore.New(rcfg)
-	}
+	cfg.NewPolicy = rubikTestPolicy
 	return cfg
+}
+
+// rubikTestPolicy is rubikFleetConfig's per-core controller.
+func rubikTestPolicy(int, int) (queueing.Policy, error) {
+	rcfg := rubikcore.DefaultConfig(500_000)
+	rcfg.UpdatePeriod = 2 * sim.Millisecond
+	rcfg.MinSamples = 16
+	rcfg.HistoryCap = 256
+	return rubikcore.New(rcfg)
 }
 
 // TestFleetTableCacheInvariance is the cache's end-to-end acceptance
 // property: across scenario shapes and dispatchers, a fleet run with the
-// per-shard rebuild cache (the default) produces per-socket results
+// per-socket rebuild cache (the default) produces per-socket results
 // deeply equal to the same fleet with caching disabled — the cache is a
 // pure throughput optimization, invisible in every simulated quantity —
 // while actually hitting (a never-hit cache would pass vacuously).
@@ -74,7 +78,7 @@ func TestFleetTableCacheInvariance(t *testing.T) {
 }
 
 // TestFleetTableCacheExplicitSize checks the TableCacheEntries contract:
-// an explicit bound is honored per shard, and shard-count invariance
+// an explicit bound is honored per socket, and shard-count invariance
 // holds with a cache so small it evicts constantly.
 func TestFleetTableCacheExplicitSize(t *testing.T) {
 	const sockets, coresPer, nPer = 3, 2, 500
@@ -92,6 +96,51 @@ func TestFleetTableCacheExplicitSize(t *testing.T) {
 		if !reflect.DeepEqual(got.Sockets, want.Sockets) {
 			t.Fatalf("shard=%d size-1-cache fleet diverged", shards)
 		}
+	}
+}
+
+// TestFleetCappedTableCache is the regression test for capped fleets
+// bypassing the rebuild cache: the capping wrapper around each core's
+// policy must hand the socket's cache on to the controller, under flat
+// per-socket caps and under a budget tree alike, and the cached run must
+// stay deeply equal to the uncached one.
+func TestFleetCappedTableCache(t *testing.T) {
+	const sockets, coresPer, nPer = 3, 2, 500
+	flat := func() FleetConfig {
+		cfg := rubikFleetConfig(t, "bursty", "jsq", sockets, coresPer, nPer, 2)
+		cfg.CapW = 9 // binding 2-core budget
+		return cfg
+	}
+	tree := func() FleetConfig {
+		cfg := hierFleetConfig(t, "bursty", sockets, coresPer, nPer, 2, capping.HierarchySpec{Levels: []capping.LevelSpec{
+			{Name: "rack", Nodes: 1, CapW: 30},
+			{Name: "pdu", Nodes: 2, Oversub: 1.1},
+		}}, 5)
+		cfg.NewPolicy = rubikTestPolicy
+		return cfg
+	}
+	for name, build := range map[string]func() FleetConfig{"flat": flat, "tree": tree} {
+		t.Run(name, func(t *testing.T) {
+			off := build()
+			off.TableCacheEntries = -1
+			want, err := RunFleet(off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := RunFleet(build())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.TableCache.Lookups() == 0 {
+				t.Fatal("capped fleet never consulted the rebuild cache")
+			}
+			if len(got.Capping()) != sockets {
+				t.Fatalf("%d capped domains, want %d", len(got.Capping()), sockets)
+			}
+			if !reflect.DeepEqual(got.Sockets, want.Sockets) || !reflect.DeepEqual(got.Hierarchy, want.Hierarchy) {
+				t.Fatal("cached capped fleet diverged from uncached")
+			}
+		})
 	}
 }
 

@@ -38,7 +38,8 @@ const sim1ms = 1_000_000 // simulated ns per ms
 // hierarchical runs: epoch barriers are the only cross-socket coupling,
 // they run sequentially in socket order, and new caps land as events at
 // exactly the barrier time — so shard=N must stay DeepEqual shard=1,
-// budget tree included.
+// budget tree and rebuild-cache statistics included. The cores run Rubik
+// controllers, so the per-socket caches see real traffic.
 func TestFleetHierShardInvariance(t *testing.T) {
 	const sockets, coresPer, nPer = 3, 2, 500
 	spec := capping.HierarchySpec{Levels: []capping.LevelSpec{
@@ -46,16 +47,24 @@ func TestFleetHierShardInvariance(t *testing.T) {
 		{Name: "pdu", Nodes: 2, Oversub: 1.1},
 	}}
 	for _, sc := range []string{"bursty", "heavytail"} {
+		build := func(shards int) FleetConfig {
+			cfg := hierFleetConfig(t, sc, sockets, coresPer, nPer, shards, spec, 5)
+			cfg.NewPolicy = rubikTestPolicy
+			return cfg
+		}
 		t.Run(sc, func(t *testing.T) {
-			want, err := RunFleet(hierFleetConfig(t, sc, sockets, coresPer, nPer, 1, spec, 5))
+			want, err := RunFleet(build(1))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want.Hierarchy == nil {
 				t.Fatal("hierarchical run returned no hierarchy stats")
 			}
+			if want.TableCache.Lookups() == 0 {
+				t.Fatal("hierarchical fleet never consulted the rebuild cache")
+			}
 			for _, shards := range []int{2, sockets} {
-				got, err := RunFleet(hierFleetConfig(t, sc, sockets, coresPer, nPer, shards, spec, 5))
+				got, err := RunFleet(build(shards))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +74,7 @@ func TestFleetHierShardInvariance(t *testing.T) {
 				if !reflect.DeepEqual(got.Hierarchy, want.Hierarchy) {
 					t.Fatalf("shard=%d hierarchy stats diverged from shard=1", shards)
 				}
-				if got.TableCache != want.TableCache {
+				if !reflect.DeepEqual(got.TableCache, want.TableCache) {
 					t.Fatalf("shard=%d cache stats diverged: %+v vs %+v", shards, got.TableCache, want.TableCache)
 				}
 			}
@@ -73,8 +82,8 @@ func TestFleetHierShardInvariance(t *testing.T) {
 	}
 }
 
-// TestFleetHierDegenerateMatchesFlat pins the bridge between the two
-// fleet paths: a one-level static tree whose root holds exactly
+// TestFleetHierDegenerateMatchesFlat pins the bridge between flat and
+// tree budgets: a one-level static tree whose root holds exactly
 // sockets x flat-cap watts re-derives the flat per-socket cap at every
 // barrier (n·c/n is float-exact), applyCap no-ops, and the whole run —
 // DomainStats and all — is bit-identical to flat per-socket capping.

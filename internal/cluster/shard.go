@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -17,12 +18,14 @@ import (
 	"rubik/internal/workload"
 )
 
-// DefaultTableCacheEntries is the per-shard rebuild-cache bound RunFleet
-// uses when FleetConfig.TableCacheEntries is 0: enough for every core of
-// a socket to keep a few live profile windows resident (~5 KB per entry
-// at paper table dimensions), small enough that a thousand-socket fleet's
-// shards stay well under a megabyte each.
-const DefaultTableCacheEntries = 64
+// DefaultTableCacheEntries is the per-socket rebuild-cache bound RunFleet
+// uses when FleetConfig.TableCacheEntries is 0. Rebuild inputs repeat
+// within a socket (a core's idle ticks, siblings on the same profile),
+// not across sockets, so a socket-sized cache keeps every hit: at the
+// diurnal-trough operating point 16 entries score the same hits as 64
+// shared per shard, and 8 still do (~5 KB per entry at paper table
+// dimensions).
+const DefaultTableCacheEntries = 16
 
 // FleetConfig describes a fleet: Sockets independent core groups, each a
 // CoresPerSocket-core cluster with its own request source, dispatcher and
@@ -82,26 +85,26 @@ type FleetConfig struct {
 	// Hierarchy, when non-nil, runs the fleet under a nested budget tree
 	// (rack → PDU → ... → socket): the tree's leaf grants become
 	// time-varying per-socket caps, re-allocated from reported demand at
-	// Epoch barriers (see runFleetHier). Requires Epoch > 0.
+	// Epoch barriers (see fleetcap.go). Requires Epoch > 0.
 	Hierarchy *capping.HierarchySpec
 	// Epoch is the hierarchy's re-allocation cadence in simulated ns:
 	// sockets advance independently between barriers and exchange demand
 	// for caps at each multiple of Epoch.
 	Epoch sim.Time
 
-	// TableCacheEntries sizes the per-shard content-addressed tail-table
-	// rebuild cache: every socket a shard goroutine simulates shares one
-	// cache, so byte-identical rebuild inputs — across ticks of one
-	// controller or across cores and sockets — run the FFT convolutions
-	// once. 0 (the default) enables a DefaultTableCacheEntries-entry
-	// cache — fleet mode is cached by default because a verified hit is
+	// TableCacheEntries sizes the per-socket content-addressed tail-table
+	// rebuild cache: the cores of a socket share one cache, so
+	// byte-identical rebuild inputs — across ticks of one controller or
+	// across the socket's cores — run the FFT convolutions once. 0 (the
+	// default) enables a DefaultTableCacheEntries-entry cache — fleet
+	// mode is cached by default because a verified hit is
 	// bitwise-identical to rebuilding, so results are unchanged (the
 	// invariance tests and CI's cached-vs-uncached cmp pin this). < 0
 	// disables caching; > 0 sets an explicit bound.
 	TableCacheEntries int
 }
 
-// tableCacheEntries resolves the per-shard cache bound (0 = disabled).
+// tableCacheEntries resolves the per-socket cache bound (0 = disabled).
 func (cfg FleetConfig) tableCacheEntries() int {
 	switch {
 	case cfg.TableCacheEntries < 0:
@@ -160,13 +163,12 @@ type FleetResult struct {
 	Shards int
 	// Sockets holds each socket's cluster Result.
 	Sockets []Result
-	// TableCache sums the per-shard rebuild-cache outcomes (hits, misses,
-	// collisions, evictions); the zero value means caching was disabled
-	// or no policy used it. Reporting only: socket results are invariant
-	// to cache hits (a verified hit is bitwise-identical to rebuilding),
-	// but because work stealing assigns sockets to shards by timing, the
-	// aggregate counts themselves may differ between runs. (Hierarchical
-	// runs use per-socket caches, so there the counts are deterministic.)
+	// TableCache sums the per-socket rebuild-cache outcomes (hits,
+	// misses, collisions, evictions); the zero value means caching was
+	// disabled or no policy used it. Socket results are invariant to
+	// cache hits (a verified hit is bitwise-identical to rebuilding), and
+	// because every socket owns its cache the counts are deterministic
+	// and invariant to the shard count too.
 	TableCache rubikcore.TableCacheStats
 	// Hierarchy holds the budget tree's per-level accounting when the
 	// fleet ran under FleetConfig.Hierarchy; nil for flat runs.
@@ -314,31 +316,65 @@ func (r FleetResult) Capping() []capping.DomainStats {
 	return out
 }
 
+// forever is the barrier of a fleet without a budget tree: its single
+// epoch spans the whole run.
+const forever = sim.Time(math.MaxInt64)
+
+// fleet is the state of one RunFleet call. Sockets are built on first
+// claim and dropped once finished, so between barriers only the
+// unfinished sockets hold simulation state.
+type fleet struct {
+	cfg    FleetConfig
+	shards int
+	// epoch is the barrier cadence: cfg.Epoch under a budget tree,
+	// forever without one.
+	epoch sim.Time
+	// tree is the budget tree (nil for a flat fleet).
+	tree *budgetTree
+
+	sims    []*socketSim // live sockets; nil before the first claim and once done
+	done    []bool       // socket finished: drained or cut off at the deadline
+	results []Result
+	caches  []rubikcore.TableCacheStats
+	errs    []error
+}
+
 // RunFleet simulates the fleet across cfg.Shards parallel event loops.
 //
-// Sockets are scheduled by work stealing: shard goroutines claim the next
-// unclaimed socket from a shared atomic counter and simulate it to
-// completion, each socket on its own sim.Engine via the single-engine
-// cluster path (RunSource). Stealing replaced the earlier static
-// round-robin partition because per-socket loads are not uniform — one
-// heavy socket (a skewed request count, a binding cap stretching its
-// drain) used to stall its whole shard while sibling shards sat idle;
-// with a shared counter the finishing shards drain the remaining sockets
-// instead. Sockets get dedicated engines rather than one engine per shard
-// because engine-global quantities — the end-of-run clock that trailing
-// idle-energy accounting accrues to — would otherwise couple co-resident
-// sockets, and co-residency buys nothing when sockets share no state.
-// Sockets therefore stay shared-nothing and the schedule is pure timing:
-// socket s's Result is a function of (source, config) alone, so shard=N
-// output is deeply equal to shard=1 output for every N even though the
-// socket→shard assignment itself is nondeterministic.
+// The run alternates two strictly separated regimes:
 //
-// Each shard goroutine additionally owns one content-addressed tail-table
-// rebuild cache (see TableCacheEntries) handed to every socket it claims:
-// goroutine confinement keeps the cache lock-free, and a stolen socket
-// simply warms whichever shard's cache it lands on. Cache hits copy
-// bitwise-identical tables, so the shard-invariance property is
-// unaffected.
+//	phase    sockets advance independently (work-stealing parallel, each
+//	         on its own engine) up to the next epoch barrier, firing only
+//	         events due by it and never moving a clock past its last
+//	         event (sim.Engine.RunEventsUntil);
+//	barrier  a single goroutine, in socket order, re-allocates the budget
+//	         tree from the sockets' demand (see fleetcap.go).
+//
+// A flat fleet (no Hierarchy) is the one-epoch case: its single phase
+// spans the run, so each claim builds its socket, runs it to drain or
+// the deadline, finalizes it and drops it — one live socket per shard.
+//
+// Sockets are scheduled by work stealing: shard goroutines claim the next
+// unclaimed socket from a shared atomic counter. Stealing replaced the
+// earlier static round-robin partition because per-socket loads are not
+// uniform — one heavy socket (a skewed request count, a binding cap
+// stretching its drain) used to stall its whole shard while sibling
+// shards sat idle; with a shared counter the finishing shards drain the
+// remaining sockets instead. Sockets get dedicated engines rather than
+// one engine per shard because engine-global quantities — the end-of-run
+// clock that trailing idle-energy accounting accrues to — would otherwise
+// couple co-resident sockets, and co-residency buys nothing when sockets
+// share no state. Each socket also owns its content-addressed tail-table
+// rebuild cache (see TableCacheEntries), shared by its cores; the phase
+// barrier keeps a socket, and so its cache, single-owner at any instant.
+//
+// Determinism (DESIGN.md §10, §13): phases only read and advance
+// socket-local state, so a phase's outcome is a function of (socket
+// inputs, barrier time) whichever shard goroutine runs it; barriers are
+// sequential and iterate in socket order. Socket s's Result is therefore
+// a function of (source, config) alone, and shard=N output is deeply
+// equal to shard=1 output for every N, cache statistics included, even
+// though the socket→shard assignment itself is nondeterministic.
 func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	if cfg.Sockets <= 0 {
 		return FleetResult{}, fmt.Errorf("cluster: fleet needs at least 1 socket, got %d", cfg.Sockets)
@@ -349,64 +385,150 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	if cfg.NewSource == nil {
 		return FleetResult{}, fmt.Errorf("cluster: fleet needs a NewSource factory")
 	}
-	shards := cfg.shardCount()
-	if cfg.Hierarchy != nil {
-		return runFleetHier(cfg, shards)
+	f := &fleet{
+		cfg:     cfg,
+		shards:  cfg.shardCount(),
+		epoch:   forever,
+		sims:    make([]*socketSim, cfg.Sockets),
+		done:    make([]bool, cfg.Sockets),
+		results: make([]Result, cfg.Sockets),
+		caches:  make([]rubikcore.TableCacheStats, cfg.Sockets),
+		errs:    make([]error, cfg.Sockets),
 	}
-	if cfg.Epoch != 0 {
+	switch {
+	case cfg.Hierarchy != nil:
+		if cfg.Epoch <= 0 {
+			return FleetResult{}, fmt.Errorf("cluster: hierarchical fleet needs a positive Epoch, got %d", cfg.Epoch)
+		}
+		tree, err := newBudgetTree(cfg)
+		if err != nil {
+			return FleetResult{}, err
+		}
+		f.tree, f.epoch = tree, cfg.Epoch
+	case cfg.Epoch != 0:
 		return FleetResult{}, fmt.Errorf("cluster: Epoch set without a Hierarchy")
 	}
 
-	results := make([]Result, cfg.Sockets)
-	errs := make([]error, cfg.Sockets)
-	cacheStats := make([]rubikcore.TableCacheStats, shards)
+	// Phase/barrier loop.
+	deadline := cfg.Core.Deadline
+	for barrier := f.epoch; ; barrier += f.epoch {
+		target := barrier
+		if deadline > 0 && target > deadline {
+			target = deadline
+		}
+		last := target == forever || (deadline > 0 && target >= deadline)
+		f.forEachSocket(func(s int) { f.advance(s, target, last) })
+		if err := f.firstErr(); err != nil {
+			return FleetResult{}, err
+		}
+		if last || f.allDone() {
+			break
+		}
+		f.tree.barrier(target, f.sims, f.done)
+	}
+
+	out := FleetResult{Shards: f.shards, Sockets: f.results}
+	for _, st := range f.caches {
+		out.TableCache.Add(st)
+	}
+	if f.tree != nil {
+		out.Hierarchy = f.tree.stats()
+	}
+	return out, nil
+}
+
+// forEachSocket runs fn(socket) across the fleet with a work-stealing
+// claim loop, labeled for CPU profiles (rubiksim -cpuprofile) per shard
+// and per claimed socket. It is a barrier: every socket has been
+// processed when it returns.
+func (f *fleet) forEachSocket(fn func(s int)) {
 	var next atomic.Int64 // next unclaimed socket index
 	var wg sync.WaitGroup
-	for k := 0; k < shards; k++ {
+	for k := 0; k < f.shards; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			// Label the goroutine so CPU profiles (rubiksim -cpuprofile)
-			// attribute samples per shard and per claimed socket; the socket
-			// label is rewritten as the shard steals new work.
 			pprof.Do(context.Background(), pprof.Labels("fleet_shard", strconv.Itoa(k)), func(ctx context.Context) {
-				var cache *rubikcore.TableCache
-				if n := cfg.tableCacheEntries(); n > 0 {
-					cache = rubikcore.NewTableCache(n)
-				}
 				for {
 					s := int(next.Add(1)) - 1
-					if s >= cfg.Sockets {
-						break
+					if s >= f.cfg.Sockets {
+						return
 					}
-					src := cfg.NewSource(s)
-					if src == nil {
-						errs[s] = fmt.Errorf("cluster: fleet socket %d: NewSource returned nil", s)
-						continue
-					}
-					c := cfg.socketConfig(s)
-					c.TableCache = cache
 					pprof.Do(ctx, pprof.Labels("socket", strconv.Itoa(s)), func(context.Context) {
-						results[s], errs[s] = RunSource(src, c)
+						fn(s)
 					})
-				}
-				if cache != nil {
-					cacheStats[k] = cache.Stats()
 				}
 			})
 		}(k)
 	}
 	wg.Wait()
-	// Lowest-socket error wins, so the reported failure is deterministic
-	// regardless of which shard hit it first.
-	for s, err := range errs {
-		if err != nil {
-			return FleetResult{}, fmt.Errorf("cluster: fleet socket %d: %w", s, err)
+}
+
+// advance runs socket s's share of one phase: it builds the socket on its
+// first claim, fires every event due by target, and — once the socket has
+// drained, or this is the last epoch — finalizes it and drops its
+// simulation state. A socket cut off by the deadline ends with its clock
+// on the deadline, every due event fired (RunSource's RunUntilOrDrain).
+func (f *fleet) advance(s int, target sim.Time, last bool) {
+	if f.done[s] {
+		return
+	}
+	sm := f.sims[s]
+	if sm == nil {
+		var err error
+		if sm, err = f.newSocket(s); err != nil {
+			f.errs[s], f.done[s] = err, true
+			return
+		}
+		f.sims[s] = sm
+	}
+	if drained := sm.advanceTo(target); !drained {
+		if !last {
+			return
+		}
+		sm.eng.RunUntil(f.cfg.Core.Deadline)
+	}
+	f.results[s], f.errs[s] = sm.result()
+	if c := sm.cfg.TableCache; c != nil {
+		f.caches[s] = c.Stats()
+	}
+	f.sims[s], f.done[s] = nil, true
+}
+
+// newSocket builds socket s's simulation, under its current tree grant
+// when the fleet has a budget tree, with its own rebuild cache.
+func (f *fleet) newSocket(s int) (*socketSim, error) {
+	src := f.cfg.NewSource(s)
+	if src == nil {
+		return nil, fmt.Errorf("cluster: fleet socket %d: NewSource returned nil", s)
+	}
+	c := f.cfg.socketConfig(s)
+	if f.tree != nil {
+		c.CapW = f.tree.caps[s]
+	}
+	if n := f.cfg.tableCacheEntries(); n > 0 {
+		c.TableCache = rubikcore.NewTableCache(n)
+	}
+	return newSocketSim(src, c)
+}
+
+// allDone reports whether every socket has finished.
+func (f *fleet) allDone() bool {
+	for _, d := range f.done {
+		if !d {
+			return false
 		}
 	}
-	out := FleetResult{Shards: shards, Sockets: results}
-	for _, st := range cacheStats {
-		out.TableCache.Add(st)
+	return true
+}
+
+// firstErr returns the lowest-socket error, so the reported failure is
+// deterministic regardless of which shard goroutine hit it first.
+func (f *fleet) firstErr() error {
+	for s, err := range f.errs {
+		if err != nil {
+			return fmt.Errorf("cluster: fleet socket %d: %w", s, err)
+		}
 	}
-	return out, nil
+	return nil
 }

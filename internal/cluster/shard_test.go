@@ -47,8 +47,10 @@ func fleetConfig(t *testing.T, scenario, dispatcher string, sockets, coresPer, n
 // TestFleetShardInvariance is the tentpole property: for every dispatcher
 // x scenario shape x capped/uncapped cell, running the fleet on 1 shard,
 // 2 shards and one shard per socket produces deeply equal per-socket
-// results. Shards are shared-nothing, so the partition is pure scheduling
-// — any divergence here means state leaked across sockets.
+// results and rebuild-cache statistics. Shards are shared-nothing, so the
+// partition is pure scheduling — any divergence here means state leaked
+// across sockets. The rubik cells run per-core Rubik controllers (JSQ
+// only), so the per-socket caches see real traffic.
 func TestFleetShardInvariance(t *testing.T) {
 	const sockets, coresPer, nPer = 3, 2, 500
 	scenarios := []string{"bursty", "heavytail", "closedloop"}
@@ -56,32 +58,53 @@ func TestFleetShardInvariance(t *testing.T) {
 	caps := []float64{0, 9} // uncapped; binding 2-core budget
 	for _, sc := range scenarios {
 		for _, d := range dispatchers {
-			for _, capW := range caps {
-				name := sc + "/" + d
-				if capW > 0 {
-					name += "/capped"
+			for _, rubik := range []bool{false, true} {
+				if rubik && d != "jsq" {
+					continue
 				}
-				t.Run(name, func(t *testing.T) {
-					want, err := RunFleet(fleetConfig(t, sc, d, sockets, coresPer, nPer, capW, 1))
-					if err != nil {
-						t.Fatal(err)
+				for _, capW := range caps {
+					name := sc + "/" + d
+					if rubik {
+						name += "/rubik"
 					}
-					if want.Shards != 1 {
-						t.Fatalf("shard count %d, want 1", want.Shards)
+					if capW > 0 {
+						name += "/capped"
 					}
-					for _, shards := range []int{2, sockets} {
-						got, err := RunFleet(fleetConfig(t, sc, d, sockets, coresPer, nPer, capW, shards))
+					build := func(shards int) FleetConfig {
+						cfg := fleetConfig(t, sc, d, sockets, coresPer, nPer, capW, shards)
+						if rubik {
+							cfg.NewPolicy = rubikTestPolicy
+						}
+						return cfg
+					}
+					t.Run(name, func(t *testing.T) {
+						want, err := RunFleet(build(1))
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got.Shards != shards {
-							t.Fatalf("shard count %d, want %d", got.Shards, shards)
+						if want.Shards != 1 {
+							t.Fatalf("shard count %d, want 1", want.Shards)
 						}
-						if !reflect.DeepEqual(got.Sockets, want.Sockets) {
-							t.Fatalf("shard=%d fleet result diverged from shard=1", shards)
+						if rubik && want.TableCache.Lookups() == 0 {
+							t.Fatal("rubik fleet never consulted the rebuild cache")
 						}
-					}
-				})
+						for _, shards := range []int{2, sockets} {
+							got, err := RunFleet(build(shards))
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got.Shards != shards {
+								t.Fatalf("shard count %d, want %d", got.Shards, shards)
+							}
+							if !reflect.DeepEqual(got.Sockets, want.Sockets) {
+								t.Fatalf("shard=%d fleet result diverged from shard=1", shards)
+							}
+							if !reflect.DeepEqual(got.TableCache, want.TableCache) {
+								t.Fatalf("shard=%d cache stats diverged: %+v vs %+v", shards, got.TableCache, want.TableCache)
+							}
+						}
+					})
+				}
 			}
 		}
 	}

@@ -9,19 +9,23 @@ import (
 
 // TableBuilder is the persistent, allocation-free rebuild pipeline behind
 // a controller's target tail tables. It owns everything a periodic refresh
-// needs — the FFT convolution plans (twiddles, bit-reversal, scratch), the
-// profiled-distribution buffers, the convolution result buffers, and the
-// TailTable itself, which Rebuild refills in place. A controller creates
+// needs — the packed FFT convolution plan (stats.PackedConvolutionPlan:
+// twiddles, bit-reversal, scratch), the profiled-distribution buffers,
+// the convolution result buffers, and the TailTable itself, which
+// Rebuild refills in place. A controller creates
 // one builder for its lifetime; every refresh after the first then
 // performs zero steady-state allocations, which is what keeps the paper's
 // periodic update inside its 0.2 ms budget (Sec. 4.2) once PR 1's cluster
 // layer multiplies refresh frequency by the core count.
 //
 // The rebuilt tables are bitwise-identical to BuildTailTable's: the
-// streaming profiler bins exactly like NewPMFFromSamples, the planned
-// convolutions match IterConvolutions bit for bit, and the row math is
-// unchanged. With the drift gate off, swapping the builder in changes no
-// experiment output.
+// streaming profiler bins exactly like NewPMFFromSamples and the row
+// math is unchanged. The packed convolutions round differently from the
+// naive IterConvolutions at the ulp level, but every table entry is a
+// bucket-edge quantile, which absorbs that noise: the tables come out
+// bit-identical to the naive build (the builder tests pin this). With
+// the drift gate off, swapping the builder in changes no experiment
+// output.
 //
 // A builder owns its buffers and is NOT safe for concurrent use; each
 // controller holds its own.
@@ -43,36 +47,20 @@ type TableBuilder struct {
 	// cached table in place instead of re-running the convolutions, which
 	// is bitwise-indistinguishable from rebuilding because the pipeline
 	// is a pure function of that key. Nil (the default) rebuilds
-	// privately. The cache is shared across the builders of one goroutine
-	// (cluster.RunFleet hands every socket on a shard the same cache);
-	// like the builder itself it must not be shared across goroutines.
+	// privately. The cache is shared across the builders of one socket
+	// (cluster.RunFleet gives every socket its own cache); like the
+	// builder itself it must not be used from two goroutines at once.
 	Cache *TableCache
-
-	// Packed selects the packed real-FFT rebuild pipeline
-	// (stats.PackedConvolutionPlan): both convolution chains ride one
-	// complex transform with Hermitian half-spectra and size-pruned
-	// inverses, cutting the rebuild's transform count from 36 to 17 at
-	// the paper shape. NewTableBuilder enables it; clear the field to
-	// fall back to the reference complex pipeline, whose results are
-	// bitwise-equal to the naive convolutions. The packed pipeline
-	// rounds differently at the ulp level but is equally deterministic;
-	// its outputs are property- and fuzz-tested against the reference
-	// within a tight error bound, and in practice the quantile-bucketed
-	// tables built from either pipeline come out bit-identical (the
-	// equivalence tests pin that for every experiment scenario shape).
-	Packed bool
 
 	percentile     float64
 	nbuckets       int
 	rows, maxQueue int
 
-	// plans caches one ConvolutionPlan per transform size. The size is
-	// fixed by (nbuckets, maxQueue) in steady state; degenerate profiles
-	// (all samples equal -> single-bucket PMF) briefly need a smaller one.
-	plans map[int]*stats.ConvolutionPlan
-	// packedPlans is the packed-pipeline counterpart, keyed by the
-	// unified transform size of the chain pair.
-	packedPlans map[int]*stats.PackedConvolutionPlan
+	// plans caches one packed plan per unified transform size of the
+	// chain pair. The size is fixed by (nbuckets, maxQueue) in steady
+	// state; degenerate profiles (all samples equal -> single-bucket PMF)
+	// briefly need a smaller one.
+	plans map[int]*stats.PackedConvolutionPlan
 
 	// distC/distM are the profiled distributions the current table
 	// generation was built from: its lazy columns are convolved from
@@ -142,19 +130,17 @@ func NewTableBuilder(percentile float64, nbuckets, rows, maxQueue int) (*TableBu
 		t.m[r] = make([]float64, maxQueue)
 	}
 	b := &TableBuilder{
-		Packed:      true,
-		percentile:  percentile,
-		nbuckets:    nbuckets,
-		rows:        rows,
-		maxQueue:    maxQueue,
-		plans:       map[int]*stats.ConvolutionPlan{},
-		packedPlans: map[int]*stats.PackedConvolutionPlan{},
-		convC:       make([]stats.PMF, maxQueue),
-		convM:       make([]stats.PMF, maxQueue),
-		condC:       make([]float64, nbuckets),
-		condM:       make([]float64, nbuckets),
-		cumC:        make([]float64, nbuckets),
-		cumM:        make([]float64, nbuckets),
+		percentile: percentile,
+		nbuckets:   nbuckets,
+		rows:       rows,
+		maxQueue:   maxQueue,
+		plans:      map[int]*stats.PackedConvolutionPlan{},
+		convC:      make([]stats.PMF, maxQueue),
+		convM:      make([]stats.PMF, maxQueue),
+		condC:      make([]float64, nbuckets),
+		condM:      make([]float64, nbuckets),
+		cumC:       make([]float64, nbuckets),
+		cumM:       make([]float64, nbuckets),
 		// Both distribution pairs alternate as profiling targets, so both
 		// start with full-size buckets: no refresh after the first
 		// allocates.
@@ -187,16 +173,16 @@ func (b *TableBuilder) CacheHits() int { return b.cacheHits }
 // been asked for: for each generation, one more than the deepest queue
 // position any Lookup read (positions past MaxQueue read column 0). It
 // depends only on the lookups, not on how many columns were computed or
-// copied from the cache, so it is deterministic across cache settings,
-// pipelines and shard counts.
+// copied from the cache, so it is deterministic across cache settings
+// and shard counts.
 func (b *TableBuilder) Columns() int { return b.columns }
 
 // Rebuild refreshes the table from the profilers' current windows. It
 // returns the (builder-owned) table and whether a new generation was
 // committed: false means the drift gate found both profiles within
 // DriftThreshold of the last rebuild and kept the existing tables. A
-// packed rebuild fills only the per-row parts; the columns are built on
-// first Lookup. On error the previous table generation is left intact,
+// rebuild fills only the per-row parts; the columns are built on first
+// Lookup. On error the previous table generation is left intact,
 // inputs included.
 func (b *TableBuilder) Rebuild(histC, histM *stats.Histogram) (*TailTable, bool, error) {
 	if err := histC.PMFInto(&b.nextC, b.nbuckets); err != nil {
@@ -242,13 +228,9 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 		b.skips++
 		return b.table, false, nil
 	}
-	var plan *stats.PackedConvolutionPlan
-	if b.Packed {
-		var err error
-		plan, err = b.packedPlanFor(stats.PackedPlanSizeFor(len(b.nextC.P), len(b.nextM.P), b.maxQueue))
-		if err != nil {
-			return nil, false, err
-		}
+	plan, err := b.planFor(stats.PackedPlanSizeFor(len(b.nextC.P), len(b.nextM.P), b.maxQueue))
+	if err != nil {
+		return nil, false, err
 	}
 	b.retire()
 	if b.Cache != nil {
@@ -258,8 +240,7 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 		b.probe = tableKey{
 			percentile: b.percentile,
 			nbuckets:   b.nbuckets, rows: b.rows, maxQueue: b.maxQueue,
-			packed: b.Packed,
-			distC:  b.nextC, distM: b.nextM,
+			distC: b.nextC, distM: b.nextM,
 		}
 		b.probeFP = b.Cache.fingerprint(&b.probe)
 		if e := b.Cache.lookup(b.probeFP, &b.probe); e != nil {
@@ -271,20 +252,8 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 			return b.table, true, nil
 		}
 	}
-	if !b.Packed {
-		// The reference pipeline builds every column eagerly.
-		if err := b.referenceConvolutions(); err != nil {
-			return nil, false, err
-		}
-	}
 	b.commit(plan)
 	b.table.rebuild(b, meanC, varC, meanM, varM)
-	if !b.Packed {
-		for i := 0; i < b.maxQueue; i++ {
-			b.table.setColumn(i, b.convC[i].Quantile(b.percentile), b.convM[i].Quantile(b.percentile))
-		}
-		b.table.built = b.maxQueue
-	}
 	if b.Cache != nil {
 		b.entry = b.Cache.insert(b.probeFP, &b.probe, b.table)
 		b.entryVersion = b.entry.version
@@ -292,27 +261,6 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 	b.noteProfile(meanC, stdC, meanM, stdM)
 	b.builds++
 	return b.table, true, nil
-}
-
-// referenceConvolutions runs both chains of the reference pipeline on
-// b.nextC/b.nextM into b.convC/b.convM; its results are bitwise-equal to
-// the naive convolutions.
-func (b *TableBuilder) referenceConvolutions() error {
-	planC, err := b.planFor(stats.PlanSizeFor(len(b.nextC.P), len(b.nextC.P), b.maxQueue))
-	if err != nil {
-		return err
-	}
-	if err := planC.IterConvolutionsInto(b.convC, b.nextC, b.nextC); err != nil {
-		return fmt.Errorf("core: compute convolutions: %w", err)
-	}
-	planM, err := b.planFor(stats.PlanSizeFor(len(b.nextM.P), len(b.nextM.P), b.maxQueue))
-	if err != nil {
-		return err
-	}
-	if err := planM.IterConvolutionsInto(b.convM, b.nextM, b.nextM); err != nil {
-		return fmt.Errorf("core: memory convolutions: %w", err)
-	}
-	return nil
 }
 
 // commit makes b.nextC/b.nextM the inputs of a new table generation with
@@ -340,8 +288,7 @@ func (b *TableBuilder) retire() {
 // materialize builds the current generation's columns from b.table.built
 // through col, in order: the shared forward transform on first use, then
 // per column one power step, its pruned inverse, its quantiles and its
-// entries in every row. Only packed generations get here; the reference
-// pipeline builds every column at rebuild.
+// entries in every row.
 func (b *TableBuilder) materialize(col int) {
 	t := b.table
 	if !b.forwardDone {
@@ -381,30 +328,16 @@ func relDrift(mean, std, lastMean, lastStd float64) float64 {
 	return math.Max(dm, ds)
 }
 
-// planFor returns the cached convolution plan for transform size n,
+// planFor returns the cached packed plan for unified transform size n,
 // building it on first use.
-func (b *TableBuilder) planFor(n int) (*stats.ConvolutionPlan, error) {
+func (b *TableBuilder) planFor(n int) (*stats.PackedConvolutionPlan, error) {
 	if p, ok := b.plans[n]; ok {
-		return p, nil
-	}
-	p, err := stats.NewConvolutionPlan(n)
-	if err != nil {
-		return nil, err
-	}
-	b.plans[n] = p
-	return p, nil
-}
-
-// packedPlanFor returns the cached packed plan for unified transform
-// size n, building it on first use.
-func (b *TableBuilder) packedPlanFor(n int) (*stats.PackedConvolutionPlan, error) {
-	if p, ok := b.packedPlans[n]; ok {
 		return p, nil
 	}
 	p, err := stats.NewPackedConvolutionPlan(n)
 	if err != nil {
 		return nil, err
 	}
-	b.packedPlans[n] = p
+	b.plans[n] = p
 	return p, nil
 }

@@ -23,13 +23,12 @@ import (
 // and uncached runs produce DeepEqual results, which the cluster
 // property tests and the pre-cache goldens pin.
 //
-// The cache is a plain bounded LRU with no locks: it is shard-confined by
-// construction. Each fleet shard goroutine owns one cache and hands it to
-// every socket it simulates (cluster.RunFleet), so entries are shared
-// across all cores and sockets that run on that goroutine while the cache
-// never synchronizes. Evicted entries are recycled, so a warm cache
-// inserts without steady-state allocations. A TableCache must not be
-// shared across goroutines.
+// The cache is a plain bounded LRU with no locks: it is socket-confined
+// by construction. Each fleet socket owns one cache shared by its cores
+// (cluster.RunFleet), and a socket is simulated by one goroutine at a
+// time, so the cache never synchronizes. Evicted entries are recycled,
+// so a warm cache inserts without steady-state allocations. A TableCache
+// must not be used from two goroutines at once.
 type TableCache struct {
 	capacity   int
 	entries    map[uint64]*cacheEntry
@@ -43,10 +42,8 @@ type TableCache struct {
 
 // TableCacheStats counts rebuild-cache outcomes. Hit/miss/collision tally
 // lookups; Evictions counts entries displaced by the LRU bound. In fleet
-// runs the per-shard stats are summed into FleetResult.TableCache — note
-// that with work stealing the socket→shard assignment is timing-
-// dependent, so aggregate stats may vary between runs even though every
-// socket's simulation result is identical.
+// runs the per-socket stats are summed into FleetResult.TableCache; like
+// every socket result they are deterministic and shard-invariant.
 type TableCacheStats struct {
 	// Hits is the number of lookups whose fingerprint and full key both
 	// matched: rebuilds answered by copying a cached table.
@@ -72,7 +69,7 @@ func (s TableCacheStats) HitRate() float64 {
 	return 0
 }
 
-// Add accumulates o into s (summing per-shard stats fleet-wide).
+// Add accumulates o into s (summing per-socket stats fleet-wide).
 func (s *TableCacheStats) Add(o TableCacheStats) {
 	s.Hits += o.Hits
 	s.Misses += o.Misses
@@ -89,24 +86,14 @@ func (s *TableCacheStats) Add(o TableCacheStats) {
 type tableKey struct {
 	percentile               float64
 	nbuckets, rows, maxQueue int
-	// packed records which rebuild pipeline produced the table. The two
-	// pipelines agree within an error bound but not bit for bit, and the
-	// cache contract is "a verified hit is bitwise-indistinguishable
-	// from rebuilding", so a table built by one pipeline must never
-	// answer a refresh running the other.
-	packed       bool
-	distC, distM stats.PMF
+	distC, distM             stats.PMF
 }
 
 // fingerprintKey hashes the key's raw bits with FNV-1a.
 func fingerprintKey(k *tableKey) uint64 {
-	packed := 0
-	if k.packed {
-		packed = 1
-	}
 	return stats.NewHash64().
 		Float64(k.percentile).
-		Int(k.nbuckets).Int(k.rows).Int(k.maxQueue).Int(packed).
+		Int(k.nbuckets).Int(k.rows).Int(k.maxQueue).
 		Float64(k.distC.Origin).Float64(k.distC.Width).Float64s(k.distC.P).
 		Float64(k.distM.Origin).Float64(k.distM.Width).Float64s(k.distM.P).
 		Sum()
@@ -117,7 +104,6 @@ func fingerprintKey(k *tableKey) uint64 {
 func (k *tableKey) matches(probe *tableKey) bool {
 	return math.Float64bits(k.percentile) == math.Float64bits(probe.percentile) &&
 		k.nbuckets == probe.nbuckets && k.rows == probe.rows && k.maxQueue == probe.maxQueue &&
-		k.packed == probe.packed &&
 		pmfBitsEqual(k.distC, probe.distC) && pmfBitsEqual(k.distM, probe.distM)
 }
 
@@ -141,7 +127,6 @@ func pmfBitsEqual(a, b stats.PMF) bool {
 func (k *tableKey) storeKey(probe *tableKey) {
 	k.percentile = probe.percentile
 	k.nbuckets, k.rows, k.maxQueue = probe.nbuckets, probe.rows, probe.maxQueue
-	k.packed = probe.packed
 	k.distC.Origin, k.distC.Width = probe.distC.Origin, probe.distC.Width
 	k.distC.P = resizeCopy(k.distC.P, probe.distC.P)
 	k.distM.Origin, k.distM.Width = probe.distM.Origin, probe.distM.Width
@@ -161,9 +146,9 @@ type cacheEntry struct {
 	prev, next *cacheEntry
 }
 
-// NewTableCache returns a shard-confined rebuild cache bounded at the
-// given entry count (at least 1). One cache per goroutine: it does not
-// synchronize.
+// NewTableCache returns a rebuild cache bounded at the given entry count
+// (at least 1). It does not synchronize: use it from one goroutine at a
+// time.
 func NewTableCache(entries int) *TableCache {
 	if entries < 1 {
 		entries = 1

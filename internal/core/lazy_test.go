@@ -11,7 +11,7 @@ import (
 
 // committedTable is the eager oracle for the generation a builder
 // committed from histC/histM: the profiled distributions re-derived from
-// the same windows, fully convolved up front by the builder's pipeline.
+// the same windows, fully convolved up front by the packed pipeline.
 func committedTable(t testing.TB, b *TableBuilder, histC, histM *stats.Histogram) *TailTable {
 	t.Helper()
 	var distC, distM stats.PMF
@@ -21,7 +21,7 @@ func committedTable(t testing.TB, b *TableBuilder, histC, histM *stats.Histogram
 	if err := histM.PMFInto(&distM, b.nbuckets); err != nil {
 		t.Fatal(err)
 	}
-	want, err := eagerTailTable(distC, distM, b.percentile, b.rows, b.maxQueue, b.Packed)
+	want, err := eagerTailTable(distC, distM, b.percentile, b.rows, b.maxQueue, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +59,8 @@ func pushSamples(histC, histM *stats.Histogram, comp, mem []float64) {
 
 // TestLazyColumnsMatchEager reads lazy tables in random orders — deep
 // columns first, shallow first, beyond MaxQueue — and requires every
-// answer to equal the eagerly built table's bit for bit, on both
-// pipelines. The column counter must equal the deepest column read + 1.
+// answer to equal the eagerly built table's bit for bit. The column
+// counter must equal the deepest column read + 1.
 func TestLazyColumnsMatchEager(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 30; trial++ {
@@ -71,7 +71,6 @@ func TestLazyColumnsMatchEager(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.Packed = trial%4 != 3
 		histC, histM := stats.NewHistogram(256), stats.NewHistogram(256)
 		wantColumns := 0
 		for round := 0; round < 3; round++ {
@@ -342,7 +341,6 @@ func FuzzLazyTailTable(f *testing.F) {
 				t.Fatal(err)
 			}
 			b.Cache = cache
-			b.Packed = data[2]&0x40 == 0
 			if data[1]&0x20 != 0 {
 				b.DriftThreshold = 0.05
 			}

@@ -5,48 +5,31 @@ import (
 	"testing"
 
 	"rubik/internal/stats"
+	"rubik/internal/workload"
 )
 
-// TestPackedPipelineDefaultOn pins the rollout switches: fresh builders
-// run the packed pipeline, DefaultConfig exposes it enabled, and clearing
-// Config.PackedFFT reaches the builder.
-func TestPackedPipelineDefaultOn(t *testing.T) {
-	b, err := NewTableBuilder(0.95, 128, 8, 16)
+// naiveTable is the oracle for a builder's current generation: the
+// complete table eagerTailTable builds from the same committed
+// distributions through the naive stats.IterConvolutions chains.
+func naiveTable(t *testing.T, b *TableBuilder) *TailTable {
+	t.Helper()
+	want, err := eagerTailTable(b.distC, b.distM, b.percentile, b.rows, b.maxQueue, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Packed {
-		t.Fatal("NewTableBuilder must default to the packed pipeline")
-	}
-	cfg := DefaultConfig(1e6)
-	if !cfg.PackedFFT {
-		t.Fatal("DefaultConfig must enable PackedFFT")
-	}
-	cfg.PackedFFT = false
-	r, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(2))
-	comp, mem := randomSamples(rng, 256)
-	if err := r.Bootstrap(comp, mem); err != nil {
-		t.Fatal(err)
-	}
-	if r.builder.Packed {
-		t.Fatal("PackedFFT=false must reach the builder")
-	}
+	return want
 }
 
-// TestPackedBuilderMatchesReferenceTables sweeps packed and reference
-// builders over the same profile windows and table shapes and requires
-// the finished tables to be bit-for-bit identical. The two convolution
-// pipelines differ at the ulp level, but every table entry is a
+// TestPackedBuilderMatchesReferenceTables sweeps the builder over profile
+// windows and table shapes and requires its tables to be bit-for-bit
+// identical to the naive oracle's. The packed convolutions differ from
+// the naive chains at the ulp level, but every table entry is a
 // bucket-edge quantile of the convolved rows, and the quantile's 1e-12
-// bucket slack absorbs that noise on these (realistic, continuously
-// distributed) profiles — this is the property that lets packed become
-// the default without re-pinning a single golden. Fixed seeds keep the
-// sweep deterministic; the universal (bound-level) guarantee lives in
-// the stats property and fuzz tests.
+// bucket slack absorbs that noise on realistic, continuously distributed
+// profiles: random windows, the masstree, xapian and moses service
+// distributions at loads 0.3 and 0.7, and degenerate all-equal windows.
+// Fixed seeds keep the sweep deterministic; the universal (bound-level)
+// guarantee lives in the stats property and fuzz tests.
 func TestPackedBuilderMatchesReferenceTables(t *testing.T) {
 	shapes := []struct {
 		nbuckets, rows, maxQueue int
@@ -60,150 +43,107 @@ func TestPackedBuilderMatchesReferenceTables(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		for _, shape := range shapes {
-			packed, err := NewTableBuilder(0.95, shape.nbuckets, shape.rows, shape.maxQueue)
+			b, err := NewTableBuilder(0.95, shape.nbuckets, shape.rows, shape.maxQueue)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := NewTableBuilder(0.95, shape.nbuckets, shape.rows, shape.maxQueue)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Packed = false
 			histC, histM := stats.NewHistogram(512), stats.NewHistogram(512)
-			// Two sliding-window refreshes per builder pair.
+			// Two sliding-window refreshes per builder.
 			for round := 0; round < 2; round++ {
 				comp, mem := randomSamples(r, 128+r.Intn(256))
 				for i := range comp {
 					histC.Push(comp[i])
 					histM.Push(mem[i])
 				}
-				got, _, err := packed.Rebuild(histC, histM)
+				got, _, err := b.Rebuild(histC, histM)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, _, err := ref.Rebuild(histC, histM)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tablesBitwiseEqual(t, got, want)
+				tablesBitwiseEqual(t, got, naiveTable(t, b))
 			}
 		}
 	}
 
-	// Degenerate all-equal profiles collapse to delta chains; both
-	// pipelines must still agree exactly.
-	packed, err := NewTableBuilder(0.95, 128, 8, 16)
+	// Application service distributions, profiled through a sliding
+	// window the size of a short controller history.
+	apps := []workload.LCApp{workload.Masstree(), workload.Xapian(), workload.Moses()}
+	for ai, app := range apps {
+		for _, load := range []float64{0.3, 0.7} {
+			tr := workload.GenerateAtLoad(app, load, 1500, 17+int64(ai))
+			b, err := NewTableBuilder(0.95, 128, 8, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			histC, histM := stats.NewHistogram(512), stats.NewHistogram(512)
+			for i, req := range tr.Requests {
+				histC.Push(req.ComputeCycles)
+				histM.Push(float64(req.MemTime))
+				if (i+1)%250 != 0 {
+					continue
+				}
+				got, _, err := b.Rebuild(histC, histM)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tablesBitwiseEqual(t, got, naiveTable(t, b))
+			}
+		}
+	}
+
+	// Degenerate all-equal profiles collapse to delta chains; the builder
+	// must still match exactly.
+	b, err := NewTableBuilder(0.95, 128, 8, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewTableBuilder(0.95, 128, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Packed = false
 	histC, histM := stats.NewHistogram(64), stats.NewHistogram(64)
 	for i := 0; i < 50; i++ {
 		histC.Push(1e5)
 		histM.Push(2e4)
 	}
-	got, _, err := packed.Rebuild(histC, histM)
+	got, _, err := b.Rebuild(histC, histM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := ref.Rebuild(histC, histM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tablesBitwiseEqual(t, got, want)
+	tablesBitwiseEqual(t, got, naiveTable(t, b))
 }
 
-// TestPackedCacheKeySeparation checks that the rebuild cache never serves
-// a table across pipelines: the cache contract is "a verified hit is
-// bitwise-indistinguishable from rebuilding", and the pipelines are only
-// equal within an error bound, so the packed bit is part of the key.
-func TestPackedCacheKeySeparation(t *testing.T) {
-	cache := NewTableCache(8)
-	packed, err := NewTableBuilder(0.95, 128, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed.Cache = cache
-	ref, err := NewTableBuilder(0.95, 128, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref.Packed = false
-	ref.Cache = cache
-
-	r := rand.New(rand.NewSource(5))
-	histC, histM := stats.NewHistogram(512), stats.NewHistogram(512)
-	comp, mem := randomSamples(r, 512)
-	for i := range comp {
-		histC.Push(comp[i])
-		histM.Push(mem[i])
-	}
-
-	if _, _, err := packed.Rebuild(histC, histM); err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.Stats().Hits; got != 0 {
-		t.Fatalf("first packed rebuild hit the cache (%d hits)", got)
-	}
-	// Same profile through the reference builder: the packed entry must
-	// not answer it.
-	if _, _, err := ref.Rebuild(histC, histM); err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.Stats().Hits; got != 0 {
-		t.Fatalf("reference rebuild was served a packed table (%d hits)", got)
-	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want one per pipeline", cache.Len())
-	}
-	// Same pipeline, same profile: now it hits.
-	packed2, err := NewTableBuilder(0.95, 128, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed2.Cache = cache
-	if _, _, err := packed2.Rebuild(histC, histM); err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.Stats().Hits; got != 1 {
-		t.Fatalf("same-pipeline probe missed (hits=%d)", got)
-	}
-	if packed2.CacheHits() != 1 {
-		t.Fatalf("builder counted %d cache hits, want 1", packed2.CacheHits())
-	}
-}
-
-// TestPackedBuilderRebuildAllocationFree mirrors the reference-path
-// allocation test on the (default) packed path: warm rebuilds allocate
-// nothing.
+// TestPackedBuilderRebuildAllocationFree checks that the builder keeps
+// one packed plan per transform size: refreshes that alternate between a
+// spread profile and a degenerate all-equal one (a single-bucket PMF,
+// which needs a smaller transform) allocate nothing once both plans
+// exist.
 func TestPackedBuilderRebuildAllocationFree(t *testing.T) {
 	b, err := NewTableBuilder(0.95, 128, 8, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !b.Packed {
-		t.Fatal("expected packed default")
-	}
 	r := rand.New(rand.NewSource(8))
-	histC, histM := stats.NewHistogram(4096), stats.NewHistogram(4096)
+	spreadC, spreadM := stats.NewHistogram(4096), stats.NewHistogram(4096)
 	comp, mem := randomSamples(r, 4096)
 	for i := range comp {
-		histC.Push(comp[i])
-		histM.Push(mem[i])
+		spreadC.Push(comp[i])
+		spreadM.Push(mem[i])
 	}
-	if _, _, err := b.Rebuild(histC, histM); err != nil { // warm buffers
-		t.Fatal(err)
+	flatC, flatM := stats.NewHistogram(64), stats.NewHistogram(64)
+	for i := 0; i < 64; i++ {
+		flatC.Push(1e5)
+		flatM.Push(2e4)
 	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, _, err := b.Rebuild(histC, histM); err != nil {
-			t.Fatal(err)
+	refresh := func() {
+		for _, h := range [][2]*stats.Histogram{{spreadC, spreadM}, {flatC, flatM}} {
+			tbl, _, err := b.Rebuild(h[0], h[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl.Lookup(0, 15)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state packed Rebuild allocates %v/op, want 0", allocs)
+	}
+	refresh() // warm buffers and both plans
+	if len(b.plans) != 2 {
+		t.Fatalf("builder holds %d plans, want one per transform size (2)", len(b.plans))
+	}
+	if allocs := testing.AllocsPerRun(5, refresh); allocs != 0 {
+		t.Fatalf("steady-state alternating Rebuild allocates %v/op, want 0", allocs)
 	}
 }

@@ -74,17 +74,6 @@ type Config struct {
 	// cost at steady load at the price of reacting one threshold-crossing
 	// later to workload drift.
 	DriftThreshold float64
-	// PackedFFT selects the packed real-FFT rebuild pipeline: both
-	// convolution chains of the periodic table refresh share one complex
-	// transform (the PMFs are purely real), with Hermitian half-spectra
-	// and size-pruned inverse transforms — 2-4x cheaper rebuilds than
-	// the reference complex pipeline. DefaultConfig enables it; clear it
-	// to run the bitwise-validated reference path for A/B or bisection
-	// (rubiksim mirrors this as -packedfft). The packed pipeline rounds
-	// differently at the ulp level but is equally deterministic, and the
-	// quantile-bucketed tables it builds are pinned equal to the
-	// reference pipeline's across the experiment suite.
-	PackedFFT bool
 	// Feedback configures the PI fine-tuning loop.
 	Feedback FeedbackConfig
 
@@ -119,7 +108,6 @@ func DefaultConfig(latencyBoundNs float64) Config {
 		TransitionLatency: 4 * sim.Microsecond,
 		MinSamples:        48,
 		HistoryCap:        8192,
-		PackedFFT:         true,
 		Feedback:          DefaultFeedback(),
 	}
 }
@@ -142,8 +130,8 @@ type Rubik struct {
 	builder *TableBuilder
 	table   *TailTable
 	// cache, when set, is the shared content-addressed rebuild cache the
-	// builder consults (fleet mode: one per shard, handed to every
-	// controller simulated on that shard's goroutine).
+	// builder consults (fleet mode: one per socket, shared by the
+	// socket's controllers).
 	cache *TableCache
 
 	// Feedback state.
@@ -295,7 +283,6 @@ func (r *Rubik) rebuild() error {
 		}
 		b.DriftThreshold = r.cfg.DriftThreshold
 		b.Cache = r.cache
-		b.Packed = r.cfg.PackedFFT
 		r.builder = b
 	}
 	t, rebuilt, err := r.builder.Rebuild(r.histC, r.histM)
@@ -497,7 +484,7 @@ func (r *Rubik) RejectedSamples() int { return r.rejectedSamples }
 // TableColumns returns how many tail-table columns the controller's
 // decisions have read, summed over table generations (see
 // TableBuilder.Columns). It is deterministic, and independent of the
-// rebuild cache, the FFT pipeline and the shard count.
+// rebuild cache and the shard count.
 func (r *Rubik) TableColumns() int {
 	if r.builder == nil {
 		return 0
@@ -508,10 +495,10 @@ func (r *Rubik) TableColumns() int {
 // SetTableCache shares a content-addressed rebuild cache with the
 // controller: periodic refreshes whose profile inputs match a cached
 // rebuild bit for bit copy the cached table instead of re-running the
-// convolutions, with bitwise-identical results. The cache is confined to
-// one goroutine — attach the same cache only to controllers simulated on
+// convolutions, with bitwise-identical results. The cache does not
+// synchronize — attach the same cache only to controllers simulated on
 // the same event loop (cluster.Config.TableCache does this per cluster,
-// cluster.RunFleet per shard). Call before simulation starts; nil
+// cluster.RunFleet per socket). Call before simulation starts; nil
 // detaches. Implements cluster.TableCacheUser.
 func (r *Rubik) SetTableCache(c *TableCache) {
 	r.cache = c

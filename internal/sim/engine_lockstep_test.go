@@ -1,5 +1,3 @@
-//go:build !rubik_noref
-
 package sim
 
 import (

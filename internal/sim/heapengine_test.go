@@ -1,5 +1,3 @@
-//go:build !rubik_noref
-
 package sim
 
 // HeapEngine is the 4-ary min-heap engine the timing wheel replaced,
@@ -9,8 +7,8 @@ package sim
 // RunUntilOrDrain boundary — are exactly the contract the wheel must
 // reproduce bit for bit. The three-way lockstep property test
 // (engine_lockstep_test.go) and FuzzEngineLockstep drive Engine,
-// HeapEngine and RefEngine through identical schedules; production code
-// never uses it. Build with -tags rubik_noref to strip it.
+// HeapEngine and RefEngine through identical schedules. It lives in a
+// test file, so no production build compiles it.
 type HeapEngine struct {
 	now     Time
 	seq     uint64

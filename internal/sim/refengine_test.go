@@ -1,5 +1,3 @@
-//go:build !rubik_noref
-
 package sim
 
 import "container/heap"
@@ -9,8 +7,8 @@ import "container/heap"
 // closure per scheduling, and generation-counter tombstones standing in for
 // handle moves. The lockstep property test (engine_lockstep_test.go) drives
 // RefEngine and Engine through identical schedules and asserts identical
-// firing order and clocks; production code never uses it. Build with
-// -tags rubik_noref to strip it.
+// firing order and clocks. It lives in a test file, so no production
+// build compiles it.
 type RefEngine struct {
 	now  Time
 	heap refEventHeap

@@ -131,11 +131,7 @@ func IterConvolutions(s0, s PMF, count int) ([]PMF, error) {
 	if !widthsCompatible(s0.Width, s.Width) {
 		return nil, fmt.Errorf("stats: IterConvolutions width mismatch: %g vs %g", s0.Width, s.Width)
 	}
-	maxLen := len(s0.P) + (count-1)*(len(s.P)-1)
-	if maxLen < len(s0.P) {
-		maxLen = len(s0.P)
-	}
-	n := nextPow2(maxLen)
+	n := PlanSizeFor(len(s0.P), len(s.P), count)
 	fs := make([]complex128, n)
 	// When count == 1 the output is just s0 and fs is never multiplied in;
 	// skipping it also matters for correctness, since n is sized for the

@@ -2,15 +2,13 @@ package stats
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
-	"math/cmplx"
 )
 
 // PackedConvolutionPlan is the packed real-FFT pipeline behind the tail
 // table rebuild. The rebuild's two convolution chains (compute cycles and
-// memory time) are self-convolutions of *purely real* PMFs, which the
-// reference pipeline transforms as full complex signals with identically
+// memory time) are self-convolutions of *purely real* PMFs, which a plain
+// complex FFT would transform as full complex signals with identically
 // zero imaginary parts — half the arithmetic moves zeros around. The
 // packed plan exploits realness twice:
 //
@@ -36,25 +34,21 @@ import (
 // rows invert at 1/16th the full transform size.
 //
 // Net transform count for the paper-shape rebuild (128 buckets, 16 queue
-// positions, two chains): 36 full-size complex transforms in the
-// reference pipeline vs 1 forward + 16 size-pruned inverses here.
+// positions, two chains): 36 full-size complex transforms for two
+// independent complex chains vs 1 forward + 16 size-pruned inverses here.
 //
-// Unlike ConvolutionPlan, whose results are bitwise-equal to the naive
-// path, the packed pipeline is numerics-changing: packed butterflies and
-// pruned inverses round differently at the ulp level. Results agree with
-// the reference within a tight relative error bound (see the property
-// and fuzz tests: ~1e-12 of each row's total mass, contract <= 1e-9),
-// and the pipeline is fully deterministic — same inputs, same bits, on
-// every run and every shard. Callers that need the reference bits keep
-// ConvolutionPlan; core.TableBuilder exposes the choice as its Packed
-// toggle.
+// Packed butterflies and pruned inverses round differently from the
+// naive IterConvolutions at the ulp level. Results agree with it within a
+// tight relative error bound (see the property and fuzz tests: ~1e-12 of
+// each row's total mass, contract <= 1e-9), and the pipeline is fully
+// deterministic — same inputs, same bits, on every run and every shard.
 //
 // A plan owns its scratch buffers and is therefore NOT safe for
 // concurrent use; each table builder holds its own.
 type PackedConvolutionPlan struct {
 	n int
-	// Flattened per-stage twiddles in the ConvolutionPlan layout (stage
-	// with half-size h at [h-1 : 2h-1]). Twiddles depend only on the
+	// Flattened per-stage twiddles (see twiddles: stage with half-size h
+	// at [h-1 : 2h-1]). Twiddles depend only on the
 	// stage, not the transform size, so the same tables drive the
 	// full-size forward transform and every pruned inverse size.
 	fwd, inv []complex128
@@ -93,26 +87,7 @@ func NewPackedConvolutionPlan(n int) (*PackedConvolutionPlan, error) {
 		accM:  make([]complex128, n/2+1),
 		z:     make([]complex128, n),
 	}
-	if n > 1 {
-		p.fwd = make([]complex128, n-1)
-		p.inv = make([]complex128, n-1)
-		for size := 2; size <= n; size <<= 1 {
-			half := size >> 1
-			// Same recurrence as ConvolutionPlan/fft(), so shared-stage
-			// transforms start from identical twiddle bits.
-			step := 2 * math.Pi / float64(size)
-			wf := complex(1, 0)
-			wi := complex(1, 0)
-			wfBase := cmplx.Exp(complex(0, -step))
-			wiBase := cmplx.Exp(complex(0, step))
-			for k := 0; k < half; k++ {
-				p.fwd[half-1+k] = wf
-				p.inv[half-1+k] = wi
-				wf *= wfBase
-				wi *= wiBase
-			}
-		}
-	}
+	p.fwd, p.inv = twiddles(n)
 	return p, nil
 }
 
@@ -163,9 +138,9 @@ func PackedPlanSizeFor(cLen, mLen, count int) int {
 // PackedPlanSizeFor(len(c.P), len(m.P), len(dstC)).
 //
 // It is Forward followed by RowInto for every row, so its results are
-// bitwise those of the two steps driven row by row. They match the
-// reference chains within the packed pipeline's relative error bound;
-// they are not bitwise-equal to them (see the type comment).
+// bitwise those of the two steps driven row by row. They match the naive
+// IterConvolutions chains within the packed pipeline's relative error
+// bound; they are not bitwise-equal to them (see the type comment).
 func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m PMF) error {
 	if len(dstM) != len(dstC) {
 		return fmt.Errorf("stats: IterSelfConvolutions dst lengths differ: %d vs %d", len(dstC), len(dstM))

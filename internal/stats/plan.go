@@ -1,135 +1,45 @@
 package stats
 
 import (
-	"fmt"
 	"math"
-	"math/bits"
 	"math/cmplx"
 )
 
-// ConvolutionPlan caches everything the FFT convolution pipeline derives
-// from its transform size: the bit-reversal permutation, per-stage twiddle
-// factors for both transform directions, and pooled complex scratch
-// buffers. Rubik refreshes its target tail tables every 100 ms on every
-// core (paper Sec. 4.2 budgets 0.2 ms per refresh), and the table
-// dimensions — and therefore the transform size — never change between
-// refreshes, so recomputing twiddles and reallocating scratch on each
-// rebuild is pure waste. A plan is built once per size and reused for the
-// lifetime of its table builder.
-//
-// The twiddle tables are generated with the exact same iterated
-// w *= exp(i*step) recurrence the naive FFT/IFFT path uses, and the
-// butterfly schedule is identical, so planned transforms — and everything
-// layered on them — are bitwise-equal to the naive path, not merely close.
-// Plan tests assert this.
-//
-// A plan owns its scratch buffers and is therefore NOT safe for concurrent
-// use; each controller (core) holds its own.
-type ConvolutionPlan struct {
-	n   int
-	rev []int
-	// Flattened per-stage twiddles: the stage with half-size h (h = 1, 2,
-	// 4, ..., n/2) occupies fwd[h-1 : 2h-1]. fwd holds the forward (-i)
-	// roots, inv the inverse (+i) roots.
-	fwd, inv []complex128
-	// Pooled scratch for IterConvolutionsInto.
-	fs, acc, tmp []complex128
-}
-
-// NewConvolutionPlan builds a plan for transforms of size n (a power of
-// two).
-func NewConvolutionPlan(n int) (*ConvolutionPlan, error) {
-	if n < 1 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("stats: plan size %d is not a power of two", n)
+// twiddles builds the flattened per-stage twiddle tables for transforms of
+// size n (a power of two): the stage with half-size h (h = 1, 2, 4, ...,
+// n/2) occupies [h-1 : 2h-1]; fwd holds the forward (-i) roots, inv the
+// inverse (+i) roots. The values come from the same iterated
+// w *= exp(i*step) recurrence the naive FFT/IFFT uses, so a planned
+// transform starts from the naive path's twiddle bits.
+func twiddles(n int) (fwd, inv []complex128) {
+	if n < 2 {
+		return nil, nil
 	}
-	p := &ConvolutionPlan{
-		n:   n,
-		rev: make([]int, n),
-		fs:  make([]complex128, n),
-		acc: make([]complex128, n),
-		tmp: make([]complex128, n),
-	}
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		p.rev[i] = int(bits.Reverse64(uint64(i)) >> shift)
-	}
-	if n > 1 {
-		p.fwd = make([]complex128, n-1)
-		p.inv = make([]complex128, n-1)
-		for size := 2; size <= n; size <<= 1 {
-			half := size >> 1
-			// Same recurrence as fft() so the stored values match the
-			// naive path bit for bit.
-			step := 2 * math.Pi / float64(size)
-			wf := complex(1, 0)
-			wi := complex(1, 0)
-			wfBase := cmplx.Exp(complex(0, -step))
-			wiBase := cmplx.Exp(complex(0, step))
-			for k := 0; k < half; k++ {
-				p.fwd[half-1+k] = wf
-				p.inv[half-1+k] = wi
-				wf *= wfBase
-				wi *= wiBase
-			}
+	fwd = make([]complex128, n-1)
+	inv = make([]complex128, n-1)
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := 2 * math.Pi / float64(size)
+		wf := complex(1, 0)
+		wi := complex(1, 0)
+		wfBase := cmplx.Exp(complex(0, -step))
+		wiBase := cmplx.Exp(complex(0, step))
+		for k := 0; k < half; k++ {
+			fwd[half-1+k] = wf
+			inv[half-1+k] = wi
+			wf *= wfBase
+			wi *= wiBase
 		}
 	}
-	return p, nil
-}
-
-// Size returns the transform size the plan was built for.
-func (p *ConvolutionPlan) Size() int { return p.n }
-
-// Forward computes the in-place FFT of x using the precomputed tables.
-// len(x) must equal Size().
-func (p *ConvolutionPlan) Forward(x []complex128) error {
-	if len(x) != p.n {
-		return fmt.Errorf("stats: plan size %d, input size %d", p.n, len(x))
-	}
-	p.transform(x, p.fwd)
-	return nil
-}
-
-// Inverse computes the in-place inverse FFT of x, including the 1/n
-// scaling. len(x) must equal Size().
-func (p *ConvolutionPlan) Inverse(x []complex128) error {
-	if len(x) != p.n {
-		return fmt.Errorf("stats: plan size %d, input size %d", p.n, len(x))
-	}
-	p.transform(x, p.inv)
-	invN := complex(1/float64(p.n), 0)
-	for i := range x {
-		x[i] *= invN
-	}
-	return nil
-}
-
-func (p *ConvolutionPlan) transform(x []complex128, tw []complex128) {
-	for i, j := range p.rev {
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	fftStages(x, tw)
-}
-
-// transformFrom gathers src through the bit-reversal permutation into dst
-// and runs the butterfly stages there, fusing the copy a caller would
-// otherwise need before an in-place transform. The permutation is an
-// involution, so the gather produces exactly the array copy-then-swap
-// would; data movement only, bitwise-identical results.
-func (p *ConvolutionPlan) transformFrom(dst, src []complex128, tw []complex128) {
-	for i, j := range p.rev {
-		dst[i] = src[j]
-	}
-	fftStages(dst, tw)
+	return fwd, inv
 }
 
 // fftStages runs the radix-2 butterfly cascade over an already
 // bit-reversed x, for any power-of-two len(x). The twiddle layout is the
-// plan layout (stage with half-size h at tw[h-1:2h-1]); because a stage's
-// twiddles exp(±i*pi*k/h) do not depend on the transform size, one table
-// built for size n serves every smaller power of two too — the packed
-// pipeline's decimated inverse transforms lean on that.
+// one twiddles builds (stage with half-size h at tw[h-1:2h-1]); because a
+// stage's twiddles exp(±i*pi*k/h) do not depend on the transform size,
+// one table built for size n serves every smaller power of two too — the
+// packed pipeline's decimated inverse transforms lean on that.
 func fftStages(x []complex128, tw []complex128) {
 	n := len(x)
 	// Every specialization below performs the identical floating-point
@@ -181,88 +91,13 @@ func fftStages(x []complex128, tw []complex128) {
 	}
 }
 
-// PlanSizeFor returns the transform size IterConvolutionsInto uses for a
-// chain of count convolutions of an s0Len-bucket PMF with an sLen-bucket
-// PMF — the size to pass to NewConvolutionPlan.
+// PlanSizeFor returns the transform size a chain of count convolutions of
+// an s0Len-bucket PMF with an sLen-bucket PMF needs: the smallest power of
+// two covering the chain's longest result, as IterConvolutions sizes it.
 func PlanSizeFor(s0Len, sLen, count int) int {
 	maxLen := s0Len + (count-1)*(sLen-1)
 	if maxLen < s0Len {
 		maxLen = s0Len
 	}
 	return nextPow2(maxLen)
-}
-
-// IterConvolutionsInto computes the same sequence of distributions as
-// IterConvolutions — S_i = s0 + i-fold sum of s for i = 0..len(dst)-1 —
-// writing into dst and reusing each dst[i].P backing array when its
-// capacity allows. With warm destination buffers it performs zero
-// allocations; the results are bitwise-equal to IterConvolutions. The plan
-// must have been built for exactly PlanSizeFor(len(s0.P), len(s.P),
-// len(dst)).
-func (p *ConvolutionPlan) IterConvolutionsInto(dst []PMF, s0, s PMF) error {
-	count := len(dst)
-	if count <= 0 {
-		return fmt.Errorf("stats: IterConvolutions count must be positive")
-	}
-	if len(s0.P) == 0 || len(s.P) == 0 {
-		return fmt.Errorf("stats: IterConvolutions empty PMF")
-	}
-	if !widthsCompatible(s0.Width, s.Width) {
-		return fmt.Errorf("stats: IterConvolutions width mismatch: %g vs %g", s0.Width, s.Width)
-	}
-	if want := PlanSizeFor(len(s0.P), len(s.P), count); want != p.n {
-		return fmt.Errorf("stats: plan size %d, chain needs %d", p.n, want)
-	}
-	// Two single-destination loops so each compiles to a memclr.
-	for i := range p.fs {
-		p.fs[i] = 0
-	}
-	for i := range p.acc {
-		p.acc[i] = 0
-	}
-	// When count == 1 the output is just s0 and fs is never multiplied in;
-	// skipping it also matters for correctness, since the plan is sized
-	// for the chain and can be smaller than len(s.P) in that case.
-	if count > 1 {
-		for i, v := range s.P {
-			p.fs[i] = complex(v, 0)
-		}
-		p.transform(p.fs, p.fwd)
-	}
-	for i, v := range s0.P {
-		p.acc[i] = complex(v, 0)
-	}
-	p.transform(p.acc, p.fwd)
-
-	invN := complex(1/float64(p.n), 0)
-	for i := 0; i < count; i++ {
-		p.transformFrom(p.tmp, p.acc, p.inv)
-		length := len(s0.P) + i*(len(s.P)-1)
-		buf := dst[i].P
-		if cap(buf) < length {
-			buf = make([]float64, length)
-		} else {
-			buf = buf[:length]
-		}
-		for k := 0; k < length; k++ {
-			v := real(p.tmp[k] * invN)
-			if v < 0 { // numeric noise
-				v = 0
-			}
-			buf[k] = v
-		}
-		dst[i] = PMF{
-			// Each convolution adds s.Origin plus the half-width midpoint
-			// correction (see Convolve).
-			Origin: s0.Origin + float64(i)*(s.Origin+s0.Width/2),
-			Width:  s0.Width,
-			P:      buf,
-		}
-		if i < count-1 {
-			for k := range p.acc {
-				p.acc[k] *= p.fs[k]
-			}
-		}
-	}
-	return nil
 }

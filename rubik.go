@@ -74,18 +74,14 @@ type (
 	Request = workload.Request
 	// Controller is the Rubik DVFS controller (the paper's contribution).
 	Controller = rubikcore.Rubik
-	// ControllerConfig tunes a Controller. Notable knobs beyond the paper
-	// parameters: DriftThreshold enables the drift-gated table refresh
-	// (skip the convolutions while the profiled distributions are still;
-	// 0 = always rebuild, byte-identical results), and PackedFFT selects
-	// the packed real-FFT rebuild pipeline (on by default: both
-	// convolution chains ride one transform with Hermitian half-spectra
-	// and pruned inverses, a 2-3x cheaper rebuild; clear it for the
-	// reference complex pipeline — decision trajectories are identical,
-	// as the cluster equivalence sweep pins).
+	// ControllerConfig tunes a Controller. The notable knob beyond the
+	// paper parameters is DriftThreshold, which enables the drift-gated
+	// table refresh (skip the convolutions while the profiled
+	// distributions are still; 0 = always rebuild, byte-identical
+	// results).
 	ControllerConfig = rubikcore.Config
 	// TableBuilder is the persistent, allocation-free rebuild pipeline
-	// behind a controller's target tail tables (FFT plans, streaming
+	// behind a controller's target tail tables (packed FFT plan, streaming
 	// profiles, in-place table refills). Controllers manage their own;
 	// it is exported for callers that rebuild TailTables directly.
 	TableBuilder = rubikcore.TableBuilder
@@ -128,8 +124,8 @@ type (
 	// TableCache is a bounded, content-addressed memo of tail-table
 	// rebuilds: refreshes whose profiled inputs match a cached rebuild bit
 	// for bit copy the cached table instead of re-running the FFT
-	// convolutions, with bitwise-identical results. Goroutine-confined —
-	// fleet runs create one per shard automatically
+	// convolutions, with bitwise-identical results. Not synchronized —
+	// fleet runs create one per socket automatically
 	// (FleetConfig.TableCacheEntries); attach one by hand via
 	// ClusterConfig.TableCache or Controller.SetTableCache.
 	TableCache = rubikcore.TableCache
@@ -177,7 +173,7 @@ type (
 // NominalMHz is the nominal core frequency (2.4 GHz, paper Table 2).
 const NominalMHz = cpu.NominalMHz
 
-// DefaultTableCacheEntries is the per-shard rebuild-cache capacity fleet
+// DefaultTableCacheEntries is the per-socket rebuild-cache capacity fleet
 // runs use when FleetConfig.TableCacheEntries is 0.
 const DefaultTableCacheEntries = cluster.DefaultTableCacheEntries
 
@@ -339,7 +335,7 @@ func SimulateClusterPerCore(srcs []Source, cfg ClusterConfig) (ClusterResult, er
 // newPolicy. Dispatch defaults to per-socket round-robin and the shard
 // count to GOMAXPROCS; set the returned config's NewDispatcher, Shards,
 // CapW and Allocator fields to override. Rebuild caching is on by
-// default (one TableCache of DefaultTableCacheEntries per shard); tune
+// default (one TableCache of DefaultTableCacheEntries per socket); tune
 // or disable it with the TableCacheEntries field.
 func NewFleet(sockets, coresPerSocket int, newSource func(socket int) Source,
 	newPolicy func(socket, core int) (Policy, error)) FleetConfig {
