@@ -9,8 +9,9 @@ import (
 
 // TableBuilder is the persistent, allocation-free rebuild pipeline behind
 // a controller's target tail tables. It owns everything a periodic refresh
-// needs — the packed FFT convolution plan (stats.PackedConvolutionPlan:
-// twiddles, bit-reversal, scratch), the profiled-distribution buffers,
+// needs — one packed FFT convolution plan (stats.PackedConvolutionPlan:
+// twiddles, bit-reversal, scratch) with the capacity for a full table,
+// the profiled-distribution buffers,
 // the convolution result buffers, and the TailTable itself, which
 // Rebuild refills in place. A controller creates
 // one builder for its lifetime; every refresh after the first then
@@ -20,12 +21,14 @@ import (
 //
 // The rebuilt tables are bitwise-identical to BuildTailTable's: the
 // streaming profiler bins exactly like NewPMFFromSamples and the row
-// math is unchanged. The packed convolutions round differently from the
-// naive IterConvolutions at the ulp level, but every table entry is a
+// math is unchanged. Each generation sizes its spectral work by the
+// columns its lookups read (see materialize), so its convolutions round
+// differently from the naive IterConvolutions at the ulp level, and
+// differently from one read order to another. Every table entry is a
 // bucket-edge quantile, which absorbs that noise: the tables come out
-// bit-identical to the naive build (the builder tests pin this). With
-// the drift gate off, swapping the builder in changes no experiment
-// output.
+// bit-identical to the naive build, whatever the read order (the
+// builder and lazy-column tests pin this). With the drift gate off,
+// swapping the builder in changes no experiment output.
 //
 // A builder owns its buffers and is NOT safe for concurrent use; each
 // controller holds its own.
@@ -56,11 +59,12 @@ type TableBuilder struct {
 	nbuckets       int
 	rows, maxQueue int
 
-	// plans caches one packed plan per unified transform size of the
-	// chain pair. The size is fixed by (nbuckets, maxQueue) in steady
-	// state; degenerate profiles (all samples equal -> single-bucket PMF)
-	// briefly need a smaller one.
-	plans map[int]*stats.PackedConvolutionPlan
+	// plan holds transforms up to the size a full table of
+	// nbuckets-bucket profiles needs; each forward run uses only the
+	// size its columns need. It is built on the first forward transform,
+	// so a builder whose generations read only column 0 never allocates
+	// it.
+	plan *stats.PackedConvolutionPlan
 
 	// distC/distM are the profiled distributions the current table
 	// generation was built from: its lazy columns are convolved from
@@ -69,10 +73,10 @@ type TableBuilder struct {
 	// leaves the generation's inputs untouched.
 	distC, distM stats.PMF
 	nextC, nextM stats.PMF
-	// plan is the packed plan sized for the committed distributions;
-	// forwardDone records that plan.Forward has run on them.
-	plan        *stats.PackedConvolutionPlan
-	forwardDone bool
+	// covered is how many columns the plan's forward transform of the
+	// committed distributions reaches; 0 means none has run in this
+	// generation.
+	covered int
 
 	// Reused buffers, sized on first use.
 	convC, convM []stats.PMF
@@ -134,7 +138,6 @@ func NewTableBuilder(percentile float64, nbuckets, rows, maxQueue int) (*TableBu
 		nbuckets:   nbuckets,
 		rows:       rows,
 		maxQueue:   maxQueue,
-		plans:      map[int]*stats.PackedConvolutionPlan{},
 		convC:      make([]stats.PMF, maxQueue),
 		convM:      make([]stats.PMF, maxQueue),
 		condC:      make([]float64, nbuckets),
@@ -228,10 +231,6 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 		b.skips++
 		return b.table, false, nil
 	}
-	plan, err := b.planFor(stats.PackedPlanSizeFor(len(b.nextC.P), len(b.nextM.P), b.maxQueue))
-	if err != nil {
-		return nil, false, err
-	}
 	b.retire()
 	if b.Cache != nil {
 		// The probe key aliases the builder's next-distribution buffers,
@@ -244,7 +243,7 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 		}
 		b.probeFP = b.Cache.fingerprint(&b.probe)
 		if e := b.Cache.lookup(b.probeFP, &b.probe); e != nil {
-			b.commit(plan)
+			b.commit()
 			b.table.copyFrom(&e.table)
 			b.entry, b.entryVersion = e, e.version
 			b.noteProfile(meanC, stdC, meanM, stdM)
@@ -252,7 +251,7 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 			return b.table, true, nil
 		}
 	}
-	b.commit(plan)
+	b.commit()
 	b.table.rebuild(b, meanC, varC, meanM, varM)
 	if b.Cache != nil {
 		b.entry = b.Cache.insert(b.probeFP, &b.probe, b.table)
@@ -265,11 +264,10 @@ func (b *TableBuilder) finish() (*TailTable, bool, error) {
 
 // commit makes b.nextC/b.nextM the inputs of a new table generation with
 // no columns built or read yet.
-func (b *TableBuilder) commit(plan *stats.PackedConvolutionPlan) {
+func (b *TableBuilder) commit() {
 	b.distC, b.nextC = b.nextC, b.distC
 	b.distM, b.nextM = b.nextM, b.distM
-	b.plan = plan
-	b.forwardDone = false
+	b.covered = 0
 	b.entry = nil
 	b.table.built, b.table.read = 0, 0
 }
@@ -285,18 +283,32 @@ func (b *TableBuilder) retire() {
 	}
 }
 
+// minForwardPoints is the smallest forward transform a generation runs:
+// at 128 buckets it covers columns 0-3, which is as deep as most
+// paper-point generations read.
+const minForwardPoints = 512
+
 // materialize builds the current generation's columns from b.table.built
-// through col, in order: the shared forward transform on first use, then
-// per column one power step, its pruned inverse, its quantiles and its
-// entries in every row.
+// through col, in order, doing only the spectral work they need. Column 0
+// is the profiled distribution itself, so its quantiles come straight
+// from distC/distM. A column past the forward transform's coverage first
+// runs forward, sized for it, which restarts the power steps from row 0.
+// Each column then costs its power steps, a pruned inverse, its
+// quantiles and its entries in every row.
 func (b *TableBuilder) materialize(col int) {
 	t := b.table
-	if !b.forwardDone {
-		if err := b.plan.Forward(b.distC, b.distM, b.maxQueue); err != nil {
-			// Unreachable: the plan was sized from these inputs at commit.
+	if t.built == 0 {
+		t.setColumn(0, b.distC.Quantile(b.percentile), b.distM.Quantile(b.percentile))
+		t.built = 1
+		if col == 0 {
+			return
+		}
+	}
+	if col >= b.covered {
+		if err := b.forward(col); err != nil {
+			// Unreachable: the plan's capacity covers every profile.
 			panic(fmt.Sprintf("core: lazy table columns: %v", err))
 		}
-		b.forwardDone = true
 	}
 	for i := t.built; i <= col; i++ {
 		if err := b.plan.RowInto(i, &b.convC[i], &b.convM[i]); err != nil {
@@ -305,6 +317,33 @@ func (b *TableBuilder) materialize(col int) {
 		t.setColumn(i, b.convC[i].Quantile(b.percentile), b.convM[i].Quantile(b.percentile))
 	}
 	t.built = col + 1
+}
+
+// forward runs the forward transform of the committed distributions
+// that reaches column col, covering every column that fits in the
+// smallest transform covering col, or in minForwardPoints if that is
+// larger, up to MaxQueue. It builds the plan on first use.
+func (b *TableBuilder) forward(col int) error {
+	if b.plan == nil {
+		// Profiles never have more than nbuckets buckets, so this
+		// capacity covers every generation's deepest column.
+		p, err := stats.NewPackedConvolutionPlan(stats.PackedPlanSizeFor(b.nbuckets, b.nbuckets, b.maxQueue))
+		if err != nil {
+			return err
+		}
+		b.plan = p
+	}
+	nc, nm := len(b.distC.P), len(b.distM.P)
+	points := stats.PackedPlanSizeFor(nc, nm, col+1)
+	if points < minForwardPoints {
+		points = minForwardPoints
+	}
+	count := col + 1
+	for count < b.maxQueue && stats.PackedPlanSizeFor(nc, nm, count+1) <= points {
+		count++
+	}
+	b.covered = count
+	return b.plan.Forward(b.distC, b.distM, count)
 }
 
 // noteProfile records the profile moments a refresh acted on, the state
@@ -326,18 +365,4 @@ func relDrift(mean, std, lastMean, lastStd float64) float64 {
 	dm := math.Abs(mean-lastMean) / scale
 	ds := math.Abs(std-lastStd) / scale
 	return math.Max(dm, ds)
-}
-
-// planFor returns the cached packed plan for unified transform size n,
-// building it on first use.
-func (b *TableBuilder) planFor(n int) (*stats.PackedConvolutionPlan, error) {
-	if p, ok := b.plans[n]; ok {
-		return p, nil
-	}
-	p, err := stats.NewPackedConvolutionPlan(n)
-	if err != nil {
-		return nil, err
-	}
-	b.plans[n] = p
-	return p, nil
 }

@@ -18,10 +18,12 @@ import (
 // input tuple; on a fingerprint hit it verifies the full key bit for bit
 // (FNV-1a can collide; a false share would corrupt results, so collisions
 // fall back to a full rebuild), then copies the cached table into the
-// builder's table in place. Because the pipeline is bit-deterministic,
-// a verified hit is bitwise-indistinguishable from rebuilding — cached
-// and uncached runs produce DeepEqual results, which the cluster
-// property tests and the pre-cache goldens pin.
+// builder's table in place. Every table entry is a bucket-edge quantile
+// that comes out equal to the naive convolution oracle's bit for bit,
+// whichever generation built it and in whatever read order (the builder
+// tests pin this), so a verified hit is bitwise-indistinguishable from
+// rebuilding — cached and uncached runs produce DeepEqual results,
+// which the cluster property tests and the pre-cache goldens pin.
 //
 // The cache is a plain bounded LRU with no locks: it is socket-confined
 // by construction. Each fleet socket owns one cache shared by its cores

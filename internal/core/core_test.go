@@ -498,15 +498,18 @@ func TestBootstrapValidation(t *testing.T) {
 	if err := r.Bootstrap([]float64{1e5, 2e5}, []float64{10, -10}); err == nil {
 		t.Fatal("negative memory sample must error")
 	}
+	if err := r.Bootstrap([]float64{1e5, 2 * maxSample}, []float64{10, 10}); err == nil {
+		t.Fatal("compute sample above maxSample must error")
+	}
 	if r.SampleCount() != 2 {
 		t.Fatalf("failed bootstraps must push nothing: %d samples", r.SampleCount())
 	}
 }
 
 // TestObserveCompletionRejectsBadPairs pins the profiler boundary: a
-// completion whose compute cycles or memory time is NaN, infinite or
-// negative is left out of both profiles, so they stay in step, and is
-// counted; the response still feeds the feedback window.
+// completion whose compute cycles or memory time is NaN, infinite,
+// negative or above maxSample is left out of both profiles, so they stay
+// in step, and is counted; the response still feeds the feedback window.
 func TestObserveCompletionRejectsBadPairs(t *testing.T) {
 	for _, merge := range []bool{false, true} {
 		cfg := DefaultConfig(1e6)
@@ -521,6 +524,8 @@ func TestObserveCompletionRejectsBadPairs(t *testing.T) {
 			{ComputeCycles: -1, MemTime: 10},
 			{ComputeCycles: 1e5, MemTime: -10},
 			{ComputeCycles: math.Inf(-1), MemTime: -10},
+			{ComputeCycles: math.MaxFloat64, MemTime: 10},
+			{ComputeCycles: 1e5, MemTime: math.MaxInt64},
 		}
 		now := sim.Time(0)
 		for i := 0; i < 100; i++ {

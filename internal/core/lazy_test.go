@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -97,6 +98,97 @@ func TestLazyColumnsMatchEager(t *testing.T) {
 				t.Fatalf("trial %d round %d: Columns() = %d, want %d", trial, round, b.Columns(), wantColumns)
 			}
 		}
+	}
+}
+
+// TestDemandSizedColumnsMatchOracle pins demand-sized generations at
+// the transform-size boundaries. Column 0 comes straight from the
+// profile, and deeper columns from forward transforms sized to the
+// deepest column read so far, re-run whenever a read goes past them. For
+// bucket counts around 128 (where the 512-, 1,024- and 2,048-point
+// transforms cover 4, 8 and 16 columns, or one fewer each at 129) and
+// table widths on either side of those coverages, three read orders
+// must answer every Lookup bit for bit as both the full-size eager
+// table and the naive oracle do: one column at a time upward (a
+// re-forward at every size boundary), deepest first (one forward), and
+// column 0 alone before a deep read. A generation that has read only
+// column 0, positions past MaxQueue included, has run no forward
+// transform, and a builder that has run none has no plan.
+func TestDemandSizedColumnsMatchOracle(t *testing.T) {
+	orders := []struct {
+		name string
+		read func(t *testing.T, b *TableBuilder, got, eager, naive *TailTable)
+	}{
+		// First, on a fresh builder: its plan must not exist yet.
+		{"head-then-deep", func(t *testing.T, b *TableBuilder, got, eager, naive *TailTable) {
+			lookupColumn(t, got, eager, naive, 0)
+			lookupColumn(t, got, eager, naive, got.MaxQueue+3)
+			if b.covered != 0 || b.plan != nil {
+				t.Fatalf("reading column 0 built a plan (%v) or ran a forward transform covering %d columns", b.plan != nil, b.covered)
+			}
+			for _, i := range []int{got.MaxQueue - 1, got.MaxQueue / 2, 1} {
+				lookupColumn(t, got, eager, naive, i)
+			}
+		}},
+		{"ascending", func(t *testing.T, b *TableBuilder, got, eager, naive *TailTable) {
+			for i := 0; i < got.MaxQueue; i++ {
+				lookupColumn(t, got, eager, naive, i)
+			}
+		}},
+		{"deepest-first", func(t *testing.T, b *TableBuilder, got, eager, naive *TailTable) {
+			for i := got.MaxQueue - 1; i >= 0; i-- {
+				lookupColumn(t, got, eager, naive, i)
+			}
+		}},
+	}
+	r := rand.New(rand.NewSource(12))
+	for _, nbuckets := range []int{1, 2, 127, 128, 129, 130} {
+		for _, maxQueue := range []int{1, 4, 5, 8, 9, 16} {
+			b, err := NewTableBuilder(0.95, nbuckets, 3, maxQueue)
+			if err != nil {
+				t.Fatal(err)
+			}
+			histC, histM := stats.NewHistogram(1024), stats.NewHistogram(1024)
+			comp, mem := randomSamples(r, 1024)
+			pushSamples(histC, histM, comp, mem)
+			var distC, distM stats.PMF
+			if err := histC.PMFInto(&distC, nbuckets); err != nil {
+				t.Fatal(err)
+			}
+			if err := histM.PMFInto(&distM, nbuckets); err != nil {
+				t.Fatal(err)
+			}
+			eager, err := eagerTailTable(distC, distM, 0.95, 3, maxQueue, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naive, err := eagerTailTable(distC, distM, 0.95, 3, maxQueue, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, order := range orders {
+				// Each refresh commits a new generation: no columns, no
+				// forward transform.
+				got, _, err := b.Rebuild(histC, histM)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Run(fmt.Sprintf("%d/%d/%s", nbuckets, maxQueue, order.name), func(t *testing.T) {
+					order.read(t, b, got, eager, naive)
+					everyLookup(t, got, naive)
+				})
+			}
+		}
+	}
+}
+
+// lookupColumn reads queue position i in every row of got, requiring the
+// bits of both eager oracles.
+func lookupColumn(t *testing.T, got, eager, naive *TailTable, i int) {
+	t.Helper()
+	for row := 0; row < got.Rows(); row++ {
+		sameLookup(t, got, eager, row, i)
+		sameLookup(t, got, naive, row, i)
 	}
 }
 
@@ -320,6 +412,18 @@ func FuzzLazyTailTable(f *testing.F) {
 	f.Add([]byte{0x05, 0x07, 0x10, 0x00, 7, 7, 7, 0x02, 0, 20, 0x03, 0x02, 3, 3})
 	f.Add([]byte{0xff, 0x0f, 0x3f, 0x00, 1, 200, 1, 200, 0x04, 0x02, 1, 11, 0x08, 0x02, 0, 6})
 	f.Add([]byte{0x40, 0x33, 0x47, 0x00, 9, 0x01, 0x02, 2, 2, 0x05, 0x06, 0x02, 5, 17, 0x03, 0x02, 0, 0})
+	// Spread windows at 128 and 129 buckets read upward across the 512-,
+	// 1,024- and 2,048-point forward sizes (columns 0, 3, 4, 7, 8, 15),
+	// deepest first, and again after an unchanged-window refresh whose
+	// cache hit brings the first columns back.
+	f.Add([]byte{0x7f, 0x07, 0x0f, 0x00, 0, 10, 0, 200, 0, 50, 0, 130, 0, 90,
+		0x02, 1, 0, 0x02, 2, 3, 0x02, 3, 4, 0x02, 0, 7, 0x02, 4, 8, 0x02, 5, 15})
+	f.Add([]byte{0x80, 0x07, 0x0f, 0x00, 0, 10, 0, 200, 0, 50, 0, 130, 0, 90,
+		0x02, 1, 0, 0x02, 2, 3, 0x02, 3, 4, 0x02, 0, 7, 0x02, 4, 8, 0x02, 5, 15})
+	f.Add([]byte{0x80, 0x07, 0x0f, 0x01, 0, 10, 0, 255, 0, 3, 0, 77,
+		0x02, 2, 15, 0x02, 1, 0, 0x01, 0x02, 1, 0, 0x02, 3, 3, 0x02, 2, 4, 0x02, 0, 8})
+	f.Add([]byte{0x7f, 0x07, 0x0f, 0x01, 0, 10, 0, 255, 0, 3, 0, 77,
+		0x02, 0, 0, 0x02, 1, 4, 0x01, 0x02, 0, 7, 0x02, 2, 8, 0x02, 3, 15})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 || len(data) > 96 {
 			return

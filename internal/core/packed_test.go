@@ -108,11 +108,13 @@ func TestPackedBuilderMatchesReferenceTables(t *testing.T) {
 	tablesBitwiseEqual(t, got, naiveTable(t, b))
 }
 
-// TestPackedBuilderRebuildAllocationFree checks that the builder keeps
-// one packed plan per transform size: refreshes that alternate between a
-// spread profile and a degenerate all-equal one (a single-bucket PMF,
-// which needs a smaller transform) allocate nothing once both plans
-// exist.
+// TestPackedBuilderRebuildAllocationFree checks that the builder's one
+// plan serves every forward size allocation-free: refreshes that read
+// column 0 only (no forward transform), columns up to 3, 7 and 15 (the
+// 512-, 1,024- and 2,048-point transforms at 128 buckets), columns 0 to
+// 15 one at a time (every re-forward in turn), and a degenerate all-equal
+// window (a single-bucket PMF, which transforms at a smaller size still)
+// allocate nothing once each shape has run once.
 func TestPackedBuilderRebuildAllocationFree(t *testing.T) {
 	b, err := NewTableBuilder(0.95, 128, 8, 16)
 	if err != nil {
@@ -132,18 +134,24 @@ func TestPackedBuilderRebuildAllocationFree(t *testing.T) {
 	}
 	refresh := func() {
 		for _, h := range [][2]*stats.Histogram{{spreadC, spreadM}, {flatC, flatM}} {
+			for _, deepest := range []int{0, 3, 7, 15} {
+				tbl, _, err := b.Rebuild(h[0], h[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				tbl.Lookup(0, deepest)
+			}
 			tbl, _, err := b.Rebuild(h[0], h[1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			tbl.Lookup(0, 15)
+			for i := 0; i < 16; i++ {
+				tbl.Lookup(0, i)
+			}
 		}
 	}
-	refresh() // warm buffers and both plans
-	if len(b.plans) != 2 {
-		t.Fatalf("builder holds %d plans, want one per transform size (2)", len(b.plans))
-	}
+	refresh() // warm buffers and every transform size's permutation
 	if allocs := testing.AllocsPerRun(5, refresh); allocs != 0 {
-		t.Fatalf("steady-state alternating Rebuild allocates %v/op, want 0", allocs)
+		t.Fatalf("steady-state Rebuild across forward sizes allocates %v/op, want 0", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"rubik/internal/cpu"
 	"rubik/internal/queueing"
@@ -124,7 +123,7 @@ type Rubik struct {
 	histC *stats.Histogram
 	histM *stats.Histogram
 
-	// builder owns the table, the FFT plans, and every rebuild buffer for
+	// builder owns the table, the FFT plan, and every rebuild buffer for
 	// the controller's lifetime, so steady-state refreshes allocate
 	// nothing.
 	builder *TableBuilder
@@ -210,7 +209,7 @@ func (r *Rubik) Bootstrap(computeSamples, memSamples []float64) error {
 	}
 	for i := range computeSamples {
 		if !validSample(computeSamples[i]) || !validSample(memSamples[i]) {
-			return fmt.Errorf("core: bootstrap sample %d is negative or not finite", i)
+			return fmt.Errorf("core: bootstrap sample %d is negative, not finite or above %g", i, maxSample)
 		}
 	}
 	for i := range computeSamples {
@@ -220,16 +219,25 @@ func (r *Rubik) Bootstrap(computeSamples, memSamples []float64) error {
 	return r.rebuild()
 }
 
+// maxSample is the largest usable compute-cycle or memory-time sample.
+// A request of 1e18 cycles or nanoseconds is decades of work: a counter
+// fault, not a measurement. Samples near the float64 range would also
+// overflow the sums the table convolves: 16 queue positions of a 1e307
+// sample are +Inf.
+const maxSample = 1e18
+
 // validSample reports whether a profiled compute-cycle or memory-time
-// sample is usable: finite and not negative (NaN fails the comparison).
-func validSample(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+// sample is usable: not negative and at most maxSample (NaN fails both
+// comparisons, +Inf the second).
+func validSample(v float64) bool { return v >= 0 && v <= maxSample }
 
 // ObserveCompletion implements queueing.CompletionObserver: it profiles the
 // request's compute cycles and memory time (the CPI-stack measurement of
 // paper Sec. 4.2) and feeds the measured response latency to the feedback
 // window. The two samples are validated as a pair, so both profiles always
-// hold the same requests: a completion with a negative or non-finite C or
-// M is left out of both and counted in RejectedSamples.
+// hold the same requests: a completion with a negative, non-finite or
+// implausibly large (above maxSample) C or M is left out of both and
+// counted in RejectedSamples.
 func (r *Rubik) ObserveCompletion(c queueing.Completion) {
 	cc := c.ComputeCycles
 	mt := float64(c.MemTime)

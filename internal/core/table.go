@@ -33,12 +33,16 @@ import (
 // Columns are materialized on demand. A rebuild fills only the per-row
 // parts (bounds, discounts, head tails); the first Lookup of a column
 // builds every missing column up to it, in order, from the inputs its
-// builder committed for this table generation. Most generations read
+// builder committed for this table generation, with spectral work sized
+// to that column (see TableBuilder.materialize). Most generations read
 // only the first few queue positions (a 100 ms table at 50% load rarely
-// sees a queue of 8), so most of the convolution work is never done. The
-// entries are bitwise those an eager build produces, because the same
-// operations run in the same order. Because Lookup writes, a table is
-// confined to its controller's goroutine, like the builder that owns it.
+// sees a queue of 8), so most of the convolution work is never done.
+// Transforms of different sizes round differently at the ulp level, but
+// every entry is a bucket-edge quantile, and the entries equal the naive
+// IterConvolutions oracle's bit for bit whatever the read order (the
+// lazy-column tests and FuzzLazyTailTable pin this). Because Lookup
+// writes, a table is confined to its controller's goroutine, like the
+// builder that owns it.
 type TailTable struct {
 	// Percentile is the tail percentile the table targets (e.g. 0.95).
 	Percentile float64

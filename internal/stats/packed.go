@@ -37,43 +37,57 @@ import (
 // positions, two chains): 36 full-size complex transforms for two
 // independent complex chains vs 1 forward + 16 size-pruned inverses here.
 //
+// A plan is built for a capacity, the largest transform it holds, and
+// each Forward transforms at the size its own chain count needs (see
+// PackedPlanSizeFor), so one plan serves every shorter or narrower chain
+// pair. A transform at a given size carries the same bits on any plan
+// whose capacity covers it: stage twiddles do not depend on the
+// transform size.
+//
 // Packed butterflies and pruned inverses round differently from the
-// naive IterConvolutions at the ulp level. Results agree with it within a
-// tight relative error bound (see the property and fuzz tests: ~1e-12 of
-// each row's total mass, contract <= 1e-9), and the pipeline is fully
-// deterministic — same inputs, same bits, on every run and every shard.
+// naive IterConvolutions at the ulp level, and so do two transform sizes
+// of the same chain. Results agree with the naive chains within a tight
+// relative error bound (see the property and fuzz tests: ~1e-12 of each
+// row's total mass, contract <= 1e-9), and the pipeline is fully
+// deterministic — same inputs and count, same bits, on every run and
+// every shard.
 //
 // A plan owns its scratch buffers and is therefore NOT safe for
 // concurrent use; each table builder holds its own.
 type PackedConvolutionPlan struct {
+	// n is the capacity: every buffer below is sized for an n-point
+	// transform.
 	n int
 	// Flattened per-stage twiddles (see twiddles: stage with half-size h
 	// at [h-1 : 2h-1]). Twiddles depend only on the
-	// stage, not the transform size, so the same tables drive the
-	// full-size forward transform and every pruned inverse size.
+	// stage, not the transform size, so the same tables drive every
+	// forward size and every pruned inverse size.
 	fwd, inv []complex128
 	// revs caches one bit-reversal permutation per transform size used
-	// (the full size plus each pruned inverse size), built on first use
-	// so steady-state rebuilds allocate nothing.
+	// (each forward size plus each pruned inverse size), built on first
+	// use so steady-state rebuilds allocate nothing.
 	revs map[int][]int
-	// Half-spectra (n/2+1 bins): specC/specM hold the forward spectra of
-	// the two inputs, accC/accM the accumulated per-row spectra.
+	// Half-spectra (size/2+1 of their n/2+1 bins in use): specC/specM
+	// hold the forward spectra of the two inputs, accC/accM the
+	// accumulated per-row spectra.
 	specC, specM, accC, accM []complex128
-	// z is the full-size complex scratch: the packed signal during the
-	// forward transform, then each row's fused inverse input/output.
+	// z is the complex scratch: the packed signal during the forward
+	// transform, then each row's fused inverse input/output.
 	z []complex128
 
-	// Chain state set by Forward: the row count, the next row RowInto
-	// may emit (the accumulators hold that row's spectrum), and the
-	// input geometry the rows' supports and origins derive from.
+	// Chain state set by Forward: the forward transform size, the row
+	// count, the next row RowInto may emit (the accumulators hold that
+	// row's spectrum), and the input geometry the rows' supports and
+	// origins derive from.
+	size            int
 	count, row      int
 	nc, nm          int
 	originC, widthC float64
 	originM, widthM float64
 }
 
-// NewPackedConvolutionPlan builds a packed plan for transforms of size n
-// (a power of two).
+// NewPackedConvolutionPlan builds a packed plan for transforms of up to n
+// points (a power of two).
 func NewPackedConvolutionPlan(n int) (*PackedConvolutionPlan, error) {
 	if n < 1 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("stats: packed plan size %d is not a power of two", n)
@@ -91,7 +105,8 @@ func NewPackedConvolutionPlan(n int) (*PackedConvolutionPlan, error) {
 	return p, nil
 }
 
-// Size returns the transform size the plan was built for.
+// Size returns the plan's capacity: the largest transform size Forward
+// accepts.
 func (p *PackedConvolutionPlan) Size() int { return p.n }
 
 // revFor returns the bit-reversal permutation for transform size m,
@@ -113,8 +128,9 @@ func (p *PackedConvolutionPlan) revFor(m int) []int {
 
 // PackedPlanSizeFor returns the unified transform size the packed
 // pipeline uses for the pair of self-convolution chains of a cLen-bucket
-// and an mLen-bucket PMF over count queue positions — the size to pass
-// to NewPackedConvolutionPlan. It is the larger of the two per-chain
+// and an mLen-bucket PMF over count queue positions — the size Forward
+// transforms at, and the least capacity to pass to
+// NewPackedConvolutionPlan for that chain pair. It is the larger of the two per-chain
 // PlanSizeFor sizes, so a degenerate (e.g. single-bucket) chain rides
 // the other chain's grid.
 func PackedPlanSizeFor(cLen, mLen, count int) int {
@@ -134,7 +150,7 @@ func PackedPlanSizeFor(cLen, mLen, count int) int {
 // m, m). The two PMFs need not share lengths or widths (the chains are
 // independent; they only share transforms). Destination backing arrays
 // are reused when capacity allows; with warm buffers the call performs
-// zero allocations. The plan must have been built for exactly
+// zero allocations. The plan's capacity must cover
 // PackedPlanSizeFor(len(c.P), len(m.P), len(dstC)).
 //
 // It is Forward followed by RowInto for every row, so its results are
@@ -157,12 +173,13 @@ func (p *PackedConvolutionPlan) IterSelfConvolutionsInto(dstC, dstM []PMF, c, m 
 }
 
 // Forward is the shared step of a chain pair: it packs the two real
-// inputs into one complex signal, takes the single full-size forward
-// transform and splits it into the two Hermitian half-spectra, leaving
-// the chains positioned at row 0 of count. The plan keeps the inputs'
-// geometry (not their buckets), so c and m may be reused once Forward
-// returns. The plan must have been built for exactly
-// PackedPlanSizeFor(len(c.P), len(m.P), count).
+// inputs into one complex signal, takes the single forward transform at
+// size PackedPlanSizeFor(len(c.P), len(m.P), count) and splits it into
+// the two Hermitian half-spectra, leaving the chains positioned at row 0
+// of count. That size must not exceed the plan's capacity; the rows are
+// bitwise those of a plan built at exactly that size. The plan keeps
+// the inputs' geometry (not their buckets), so c and m may be reused
+// once Forward returns. Calling Forward again restarts the chains.
 func (p *PackedConvolutionPlan) Forward(c, m PMF, count int) error {
 	if count <= 0 {
 		return fmt.Errorf("stats: IterSelfConvolutions count must be positive")
@@ -170,18 +187,18 @@ func (p *PackedConvolutionPlan) Forward(c, m PMF, count int) error {
 	if len(c.P) == 0 || len(m.P) == 0 {
 		return fmt.Errorf("stats: IterSelfConvolutions empty PMF")
 	}
-	if want := PackedPlanSizeFor(len(c.P), len(m.P), count); want != p.n {
-		return fmt.Errorf("stats: packed plan size %d, chain pair needs %d", p.n, want)
+	n := PackedPlanSizeFor(len(c.P), len(m.P), count)
+	if n > p.n {
+		return fmt.Errorf("stats: chain pair needs a %d-point transform, packed plan holds %d", n, p.n)
 	}
-	n := p.n
-	p.count, p.row = count, 0
+	p.size, p.count, p.row = n, count, 0
 	p.nc, p.nm = len(c.P), len(m.P)
 	p.originC, p.widthC = c.Origin, c.Width
 	p.originM, p.widthM = m.Origin, m.Width
 
 	// Pack both real inputs into one complex signal z = c + i*m and take
-	// a single full-size forward transform.
-	z := p.z
+	// a single forward transform.
+	z := p.z[:n]
 	for i := range z {
 		z[i] = 0
 	}
@@ -236,10 +253,10 @@ func (p *PackedConvolutionPlan) RowInto(i int, dstC, dstM *PMF) error {
 	if i < p.row || i >= p.count {
 		return fmt.Errorf("stats: packed row %d out of order (next %d of %d)", i, p.row, p.count)
 	}
-	h := p.n / 2
+	h := p.size / 2
 	for ; p.row < i; p.row++ {
 		// Half-spectrum power step: both accumulators advance one
-		// convolution over the n/2+1 non-redundant bins only.
+		// convolution over the size/2+1 non-redundant bins only.
 		for k := 0; k <= h; k++ {
 			p.accC[k] *= p.specC[k]
 			p.accM[k] *= p.specM[k]
@@ -257,7 +274,7 @@ func (p *PackedConvolutionPlan) RowInto(i int, dstC, dstM *PMF) error {
 		l = lm
 	}
 	ni := nextPow2(l)
-	d := p.n / ni
+	d := p.size / ni
 	hi := ni / 2
 	w := p.z[:ni]
 	// Assemble the fused natural-order spectrum w = accC + i*accM

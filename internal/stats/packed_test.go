@@ -205,10 +205,11 @@ func TestPackedSelfConvolutionsValidation(t *testing.T) {
 	if err := plan.IterSelfConvolutionsInto(make([]PMF, 2), make([]PMF, 2), ok, PMF{}); err == nil {
 		t.Fatal("expected error for empty m")
 	}
-	// Mismatched plan size must be rejected, not silently mis-transformed.
+	// A chain pair larger than the plan's capacity must be rejected, not
+	// silently mis-transformed.
 	big := randomPMF(rand.New(rand.NewSource(1)), 64, 0, 1)
 	if err := plan.IterSelfConvolutionsInto(make([]PMF, 8), make([]PMF, 8), big, big); err == nil {
-		t.Fatal("expected plan size mismatch error")
+		t.Fatal("expected plan capacity error")
 	}
 }
 
@@ -282,6 +283,74 @@ func TestPackedRowIntoSkipsMatchFullChain(t *testing.T) {
 	}
 }
 
+// TestPackedForwardWithinCapacity pins the plan's capacity contract: a
+// Forward whose chain pair fits in a smaller transform than the plan
+// holds runs at that smaller size, and its rows are bitwise those of a
+// plan built at exactly that size, also after a larger Forward on the
+// same plan and when the next Forward is larger again. A chain pair
+// needing more than the capacity is an error.
+func TestPackedForwardWithinCapacity(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	big, err := NewPackedConvolutionPlan(PackedPlanSizeFor(129, 129, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if big.Size() != 4096 {
+		t.Fatalf("capacity %d, want 4096", big.Size())
+	}
+	for trial := 0; trial < 24; trial++ {
+		c := randomPMF(r, 1+r.Intn(130), 1+5*r.Float64(), 250)
+		m := randomPMF(r, 1+r.Intn(130), 0.5+r.Float64(), 40)
+		for _, count := range []int{1 + r.Intn(16), 16, 1 + r.Intn(4)} {
+			exact, err := NewPackedConvolutionPlan(PackedPlanSizeFor(len(c.P), len(m.P), count))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantC := make([]PMF, count)
+			wantM := make([]PMF, count)
+			if err := exact.IterSelfConvolutionsInto(wantC, wantM, c, m); err != nil {
+				t.Fatal(err)
+			}
+			gotC := make([]PMF, count)
+			gotM := make([]PMF, count)
+			if err := big.IterSelfConvolutionsInto(gotC, gotM, c, m); err != nil {
+				t.Fatal(err)
+			}
+			for i := range wantC {
+				for _, pair := range []struct {
+					name      string
+					got, want PMF
+				}{{"C", gotC[i], wantC[i]}, {"M", gotM[i], wantM[i]}} {
+					if !sameBits(pair.got.Origin, pair.want.Origin) || len(pair.got.P) != len(pair.want.P) {
+						t.Fatalf("trial %d count %d %s row %d geometry differs", trial, count, pair.name, i)
+					}
+					for k := range pair.want.P {
+						if !sameBits(pair.got.P[k], pair.want.P[k]) {
+							t.Fatalf("trial %d count %d %s row %d entry %d: %v on the large plan, %v at exact size",
+								trial, count, pair.name, i, k, pair.got.P[k], pair.want.P[k])
+						}
+					}
+				}
+			}
+		}
+	}
+
+	small, err := NewPackedConvolutionPlan(PackedPlanSizeFor(128, 128, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := randomPMF(r, 128, 1, 250)
+	if err := small.Forward(c, c, 4); err != nil {
+		t.Fatalf("a chain pair of exactly the capacity: %v", err)
+	}
+	if err := small.Forward(c, c, 5); err == nil {
+		t.Fatal("Forward past the plan's capacity must fail")
+	}
+	if err := small.Forward(randomPMF(r, 129, 1, 250), c, 4); err == nil {
+		t.Fatal("Forward of a wider PMF past the plan's capacity must fail")
+	}
+}
+
 // TestPackedRowIntoRejectsOutOfOrder checks the row chain's guards: a row
 // before the chain's position, a row past count, and RowInto before any
 // Forward are errors, not silent garbage.
@@ -312,6 +381,6 @@ func TestPackedRowIntoRejectsOutOfOrder(t *testing.T) {
 		t.Fatal("Forward with count 0 must fail")
 	}
 	if err := plan.Forward(c, c, 8); err == nil {
-		t.Fatal("Forward on a plan sized for another chain must fail")
+		t.Fatal("Forward past the plan's capacity must fail")
 	}
 }
